@@ -6,8 +6,9 @@ package), so chaos runs remain post-processable without re-simulation:
 * **goodput** — completed (useful) batch items per second of trace span;
   items killed mid-flight by a slot fault never emit ``ITEM_DONE`` and so
   never count;
-* **MTTR** — mean time to recovery, averaged over every recovery edge:
-  ``SLOT_FAULT -> SLOT_REPAIRED`` on the same slot, and
+* **MTTR** — mean time to recovery, averaged over every recovery the
+  one interval pairing (:mod:`repro.sim.fold`) closes: a slot outage
+  from its first ``SLOT_FAULT`` to ``SLOT_REPAIRED``, and
   ``CONFIG_FAILED -> TASK_CONFIG_DONE`` for the same (app, task);
 * **work lost** — partial item time destroyed by slot faults plus CAP
   time wasted by failed reconfigurations (both carried in the events'
@@ -21,10 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.errors import ExperimentError
 from repro.hypervisor.results import AppResult
+from repro.sim.fold import RECOVERIES, trace_intervals
 from repro.sim.trace import Trace, TraceKind
 
 
@@ -56,32 +58,17 @@ def work_lost_ms(trace: Trace) -> float:
 def recovery_times_ms(trace: Trace) -> List[float]:
     """Every observed recovery interval, in trace order.
 
-    A slot recovery runs from ``SLOT_FAULT`` to the next ``SLOT_REPAIRED``
-    on the same slot; a reconfiguration recovery runs from
-    ``CONFIG_FAILED`` to the task's next successful ``TASK_CONFIG_DONE``.
-    Faults still unrecovered when the trace ends contribute nothing.
+    The recoveries are the ones :mod:`repro.sim.fold` pairs: a slot
+    outage from its first ``SLOT_FAULT`` to the next ``SLOT_REPAIRED``
+    on the same slot, and a reconfiguration retry from ``CONFIG_FAILED``
+    to the task's next successful ``TASK_CONFIG_DONE``. Faults still
+    unrecovered when the trace ends contribute nothing.
     """
-    times: List[float] = []
-    open_slot_faults: Dict[int, float] = {}
-    open_config_faults: Dict[Tuple[Optional[int], Optional[str]], float] = {}
-    for event in trace:
-        if event.kind == TraceKind.SLOT_FAULT and event.slot is not None:
-            open_slot_faults.setdefault(event.slot, event.time)
-        elif event.kind == TraceKind.SLOT_REPAIRED and event.slot is not None:
-            started = open_slot_faults.pop(event.slot, None)
-            if started is not None:
-                times.append(event.time - started)
-        elif event.kind == TraceKind.CONFIG_FAILED:
-            open_config_faults.setdefault(
-                (event.app_id, event.task_id), event.time
-            )
-        elif event.kind == TraceKind.TASK_CONFIG_DONE:
-            started = open_config_faults.pop(
-                (event.app_id, event.task_id), None
-            )
-            if started is not None:
-                times.append(event.time - started)
-    return times
+    return [
+        interval.end_ms - interval.start_ms
+        for interval in trace_intervals(trace)
+        if interval.ok and interval.kind in RECOVERIES
+    ]
 
 
 def mean_time_to_recovery_ms(trace: Trace) -> float:

@@ -1,11 +1,11 @@
-"""Span builder: fold the flat trace stream into timed intervals.
+"""Span builder: the trace's intervals as timed, categorized spans.
 
 The hypervisor emits point events; everything the evaluation *reads* off a
 run, however, is an interval — how long a partial reconfiguration held the
 configuration port, how long a batch item occupied a slot, how long a
 preempted task waited before it was resumed, how long a slot was out of
-service after a fault. :func:`build_spans` reconstructs those intervals by
-pairing the matching :class:`~repro.sim.trace.TraceKind` edges:
+service after a fault. :func:`build_spans` reads those intervals off the
+one pairing in :mod:`repro.sim.fold` and gives each its category:
 
 ===================  ==========================================  ===========
 span ``name``        opened by / closed by                        category
@@ -15,7 +15,7 @@ span ``name``        opened by / closed by                        category
 ``item``             ITEM_START → ITEM_DONE (or SLOT_FAULT)       ``compute``
 ``preempted``        TASK_PREEMPTED → TASK_RESUMED                ``wait``
 ``evicted``          SLOT_FAULT (occupied) → TASK_RESUMED         ``wait``
-``slot-fault``       SLOT_FAULT → SLOT_REPAIRED                   ``fault``
+``slot-fault``       first SLOT_FAULT → SLOT_REPAIRED             ``fault``
 ===================  ==========================================  ===========
 
 Because every reconfiguration serializes through the single configuration
@@ -34,6 +34,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.sim.fold import (
+    DPR,
+    EVICTED,
+    ITEM,
+    OUTAGE,
+    PREEMPTED,
+    trace_intervals,
+)
 from repro.sim.trace import Trace, TraceKind
 
 #: Category labels used by the span builder (stable exporter vocabulary).
@@ -41,6 +49,15 @@ CATEGORY_DPR = "dpr"
 CATEGORY_COMPUTE = "compute"
 CATEGORY_WAIT = "wait"
 CATEGORY_FAULT = "fault"
+
+#: Span category per fold interval kind; DPR retries are not spans.
+_CATEGORIES = {
+    DPR: CATEGORY_DPR,
+    ITEM: CATEGORY_COMPUTE,
+    PREEMPTED: CATEGORY_WAIT,
+    EVICTED: CATEGORY_WAIT,
+    OUTAGE: CATEGORY_FAULT,
+}
 
 
 @dataclass(frozen=True)
@@ -59,7 +76,8 @@ class Span:
     #: task) or was still open at the trace horizon.
     ok: bool = True
     #: Carried payload of the opening event (batch-item index for items,
-    #: items completed at preemption for waits, work lost for faults).
+    #: items completed at preemption for waits, work lost for faults);
+    #: a failed reconfiguration carries its wasted port time.
     detail: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -95,118 +113,11 @@ def build_spans(trace: Trace, end_ms: Optional[float] = None) -> List[Span]:
     ``(start, end, category, ...)`` and is a pure function of the trace,
     so identical runs yield identical span lists.
     """
-    spans: List[Span] = []
-    horizon = end_ms
-    if horizon is None:
-        horizon = trace.end_ms if len(trace) else 0.0
-
-    # Open interval bookkeeping, keyed to match the closing event.
-    open_configs: Dict[Tuple, float] = {}
-    open_items: Dict[Tuple, Tuple[float, Optional[float]]] = {}
-    open_waits: Dict[Tuple, Tuple[float, str, Optional[int], Optional[float]]] = {}
-    open_faults: Dict[int, Tuple[float, Optional[float]]] = {}
-
-    for event in trace:
-        kind = event.kind
-        if kind == TraceKind.TASK_CONFIG_START:
-            open_configs[(event.app_id, event.task_id, event.slot)] = event.time
-        elif kind in (TraceKind.TASK_CONFIG_DONE, TraceKind.CONFIG_FAILED):
-            key = (event.app_id, event.task_id, event.slot)
-            started = open_configs.pop(key, None)
-            if started is not None:
-                spans.append(Span(
-                    name="dpr", category=CATEGORY_DPR,
-                    start_ms=started, end_ms=event.time,
-                    slot=event.slot, app_id=event.app_id,
-                    task_id=event.task_id,
-                    ok=kind == TraceKind.TASK_CONFIG_DONE,
-                    detail=event.detail,
-                ))
-        elif kind == TraceKind.ITEM_START:
-            key = (event.app_id, event.task_id, event.slot)
-            open_items[key] = (event.time, event.detail)
-        elif kind == TraceKind.ITEM_DONE:
-            key = (event.app_id, event.task_id, event.slot)
-            opened = open_items.pop(key, None)
-            if opened is not None:
-                started, item = opened
-                spans.append(Span(
-                    name="item", category=CATEGORY_COMPUTE,
-                    start_ms=started, end_ms=event.time,
-                    slot=event.slot, app_id=event.app_id,
-                    task_id=event.task_id, ok=True, detail=item,
-                ))
-        elif kind == TraceKind.TASK_PREEMPTED:
-            open_waits[(event.app_id, event.task_id)] = (
-                event.time, "preempted", event.slot, event.detail,
-            )
-        elif kind == TraceKind.TASK_RESUMED:
-            opened = open_waits.pop((event.app_id, event.task_id), None)
-            if opened is not None:
-                started, name, slot, detail = opened
-                spans.append(Span(
-                    name=name, category=CATEGORY_WAIT,
-                    start_ms=started, end_ms=event.time,
-                    slot=slot, app_id=event.app_id,
-                    task_id=event.task_id, ok=True, detail=detail,
-                ))
-        elif kind == TraceKind.SLOT_FAULT:
-            if event.slot is not None:
-                # A fault mid-item kills the in-flight item: close its
-                # compute span abnormally at the fault instant.
-                for key in list(open_items):
-                    if key[2] == event.slot:
-                        started, item = open_items.pop(key)
-                        spans.append(Span(
-                            name="item", category=CATEGORY_COMPUTE,
-                            start_ms=started, end_ms=event.time,
-                            slot=event.slot, app_id=key[0],
-                            task_id=key[1], ok=False, detail=item,
-                        ))
-                open_faults[event.slot] = (event.time, event.detail)
-            if event.app_id is not None:
-                open_waits[(event.app_id, event.task_id)] = (
-                    event.time, "evicted", event.slot, event.detail,
-                )
-        elif kind == TraceKind.SLOT_REPAIRED:
-            if event.slot is not None:
-                opened = open_faults.pop(event.slot, None)
-                if opened is not None:
-                    started, detail = opened
-                    spans.append(Span(
-                        name="slot-fault", category=CATEGORY_FAULT,
-                        start_ms=started, end_ms=event.time,
-                        slot=event.slot, ok=True, detail=detail,
-                    ))
-
-    # Close whatever never paired up at the horizon, abnormally.
-    for (app_id, task_id, slot), started in open_configs.items():
-        spans.append(Span(
-            name="dpr", category=CATEGORY_DPR,
-            start_ms=started, end_ms=max(horizon, started),
-            slot=slot, app_id=app_id, task_id=task_id, ok=False,
-        ))
-    for (app_id, task_id, slot), (started, item) in open_items.items():
-        spans.append(Span(
-            name="item", category=CATEGORY_COMPUTE,
-            start_ms=started, end_ms=max(horizon, started),
-            slot=slot, app_id=app_id, task_id=task_id, ok=False,
-            detail=item,
-        ))
-    for (app_id, task_id), (started, name, slot, detail) in open_waits.items():
-        spans.append(Span(
-            name=name, category=CATEGORY_WAIT,
-            start_ms=started, end_ms=max(horizon, started),
-            slot=slot, app_id=app_id, task_id=task_id, ok=False,
-            detail=detail,
-        ))
-    for slot, (started, detail) in open_faults.items():
-        spans.append(Span(
-            name="slot-fault", category=CATEGORY_FAULT,
-            start_ms=started, end_ms=max(horizon, started),
-            slot=slot, ok=False, detail=detail,
-        ))
-
+    spans = [
+        Span(interval.kind, _CATEGORIES[interval.kind], *interval[1:])
+        for interval in trace_intervals(trace, end_ms)
+        if interval.kind in _CATEGORIES
+    ]
     spans.sort(key=_sort_key)
     return spans
 
@@ -217,21 +128,26 @@ def expected_span_count(trace: Trace) -> int:
     Every interval is opened by exactly one event: a reconfiguration by
     ``TASK_CONFIG_START``, an item by ``ITEM_START``, a wait by
     ``TASK_PREEMPTED`` or by a ``SLOT_FAULT`` that evicted a resident
-    task, and a slot outage by ``SLOT_FAULT``. The builder closes every
-    opened interval (at its pairing event or the horizon), so this count
-    equals ``len(build_spans(trace))`` — the exporter tests and the CI
+    task, and a slot outage by a ``SLOT_FAULT`` on a slot not already
+    out of service. The builder closes every opened interval (at its
+    pairing event or the horizon), so this count equals
+    ``len(build_spans(trace))`` — the exporter tests and the CI
     trace-validation job rely on that identity.
     """
     count = 0
+    down = set()
     for event in trace:
         if event.kind in (TraceKind.TASK_CONFIG_START, TraceKind.ITEM_START,
                           TraceKind.TASK_PREEMPTED):
             count += 1
         elif event.kind == TraceKind.SLOT_FAULT:
-            if event.slot is not None:
+            if event.slot is not None and event.slot not in down:
+                down.add(event.slot)
                 count += 1
             if event.app_id is not None:
                 count += 1
+        elif event.kind == TraceKind.SLOT_REPAIRED:
+            down.discard(event.slot)
     return count
 
 

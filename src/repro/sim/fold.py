@@ -1,34 +1,31 @@
-"""Streaming span/recovery fold shared by both run modes.
+"""The one interval pairing over trace events, shared by every reader.
 
-The observe layer's snapshot (``repro.observe.instrument.observe_run``)
-derives histograms and gauges from *intervals*: reconfiguration spans,
-batch-item spans, preemption waits, fault recoveries. In ``mode="full"``
-those intervals are reconstructed from trace rows; ``mode="metrics"``
-records no rows, so the pairing must happen while events stream past.
+Everything the evaluation reads off a run as a duration is an interval
+paired from two trace edges. :class:`TraceFold` is the only code that
+pairs them; the observe snapshot reads :meth:`TraceFold.aggregates`,
+the span view and the recovery metrics read :func:`trace_intervals`,
+and ``Trace.run_busy_ms`` / ``reconfig_busy_ms`` read its DONE-paired
+busy totals. A metrics-mode trace feeds its fold live from ``record``;
+a full-mode trace replays its stored rows through the identical code in
+the identical (record = time) order, so equal inputs produce
+bit-identical aggregates, float sums included (tests/test_mode_equivalence).
 
-:class:`TraceFold` is that pairing, written once and used by **both**
-modes: a metrics-mode trace feeds it live from ``record``, and the
-full-mode fold replays the stored rows through the identical code in the
-identical (record = time) order. Equal inputs therefore produce
-bit-identical aggregates — including the float sums, whose addition
-order matters — which is what pins ``mode="metrics"`` observe snapshots
-``to_dict``-exact against full-mode folds (tests/test_mode_equivalence).
-
-The pairing rules mirror :func:`repro.observe.spans.build_spans` and
-:func:`repro.metrics.reliability.recovery_times_ms`:
+The pairing rules, by ``Interval.kind``:
 
 * ``dpr``: TASK_CONFIG_START closed by TASK_CONFIG_DONE or CONFIG_FAILED;
 * ``item``: ITEM_START closed by ITEM_DONE, or killed at SLOT_FAULT on
   the same slot;
-* ``wait``: TASK_PREEMPTED (or an eviction edge of SLOT_FAULT) closed by
-  TASK_RESUMED;
-* ``recovery``: SLOT_FAULT to the slot's next SLOT_REPAIRED, and
-  CONFIG_FAILED to the task's next successful TASK_CONFIG_DONE.
+* ``preempted`` / ``evicted``: TASK_PREEMPTED, or a SLOT_FAULT that
+  evicted a resident task, closed by TASK_RESUMED;
+* ``slot-fault``: an outage opens at a slot's first SLOT_FAULT and
+  closes at its next SLOT_REPAIRED; faults in between open nothing;
+* ``dpr-retry``: the first CONFIG_FAILED of a task closed by its next
+  successful TASK_CONFIG_DONE.
 
-Intervals still open when the run ends are closed at the horizon by
-:meth:`TraceFold.aggregates` (recoveries contribute nothing, matching
-``recovery_times_ms``). ``aggregates`` never mutates the fold, so it is
-safe to snapshot a run more than once.
+Recoveries are the closed ``slot-fault`` and ``dpr-retry`` intervals.
+:meth:`TraceFold.open_intervals` closes the rest at the horizon, except
+open recoveries, which have no recovery time yet. Neither it nor
+``aggregates`` mutates the fold, so a run can be snapshot more than once.
 
 This module is dependency-free within the sim layer; the observe layer
 imports *from* it (``MS_BUCKETS`` lives here so a metrics-mode
@@ -39,9 +36,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from repro.sim.trace import TraceKind
+from repro.sim.trace import MetricsTrace, Trace, TraceKind
 
 #: Histogram buckets for simulated-millisecond durations. Canonical
 #: definition — ``repro.observe.metrics`` re-exports it.
@@ -93,6 +90,37 @@ class _HistStream:
         return clone
 
 
+#: ``Interval.kind`` values. The first five are also the span names.
+DPR = "dpr"
+ITEM = "item"
+PREEMPTED = "preempted"
+EVICTED = "evicted"
+OUTAGE = "slot-fault"
+DPR_RETRY = "dpr-retry"
+WAITS = (PREEMPTED, EVICTED)
+RECOVERIES = (OUTAGE, DPR_RETRY)
+
+
+class Interval(NamedTuple):
+    """One paired interval; the fields after ``kind`` follow ``Span``.
+
+    A wait's ``slot`` is the one its task left. ``ok`` is False when the
+    interval ended abnormally or is still open at the horizon.
+    ``detail`` is the opening event's payload, except that a ``dpr``
+    carries its closing event's (a failed DPR's wasted port time) and a
+    ``dpr-retry`` carries none.
+    """
+
+    kind: str
+    start_ms: float
+    end_ms: float
+    slot: Optional[int]
+    app_id: Optional[int]
+    task_id: Optional[str]
+    ok: bool
+    detail: Optional[float]
+
+
 @dataclass
 class FoldAggregates:
     """Everything ``observe_run`` reads off a finished fold."""
@@ -111,7 +139,7 @@ class TraceFold:
 
     __slots__ = ("_dpr", "_item", "_wait", "_recovery",
                  "_dpr_busy", "_compute_busy", "_depth", "_peak",
-                 "item_busy_done_ms", "config_busy_done_ms",
+                 "item_busy_done_ms", "config_busy_done_ms", "_closed",
                  "_open_configs", "_open_items", "_open_waits",
                  "_open_slot_faults", "_open_config_faults")
 
@@ -122,20 +150,22 @@ class TraceFold:
         self._recovery = _HistStream()
         self._dpr_busy = 0.0
         self._compute_busy = 0.0
-        #: DONE-paired busy totals, matching ``Trace.run_busy_ms`` /
-        #: ``Trace.reconfig_busy_ms`` (whole-board form): unlike the
-        #: horizon-closed span accumulators above, these exclude spans
-        #: killed by faults or still open, exactly like the full-mode
-        #: row scan. ``MetricsTrace`` reads them directly.
+        #: DONE-paired busy totals (``Trace.run_busy_ms`` /
+        #: ``reconfig_busy_ms``): unlike the accumulators above, these
+        #: exclude spans killed by faults or still open.
         self.item_busy_done_ms = 0.0
         self.config_busy_done_ms = 0.0
         #: Concurrently open compute spans (streaming peak-concurrency).
         self._depth = 0
         self._peak = 0
+        #: Closed intervals in closing order, kept only for
+        #: :func:`trace_intervals`: a live fold stays O(1) in memory.
+        self._closed: Optional[List[Interval]] = None
+        # Open intervals: start time, plus what the closing event lacks.
         self._open_configs: Dict[tuple, float] = {}
-        self._open_items: Dict[tuple, float] = {}
-        self._open_waits: Dict[tuple, float] = {}
-        self._open_slot_faults: Dict[int, float] = {}
+        self._open_items: Dict[tuple, tuple] = {}
+        self._open_waits: Dict[tuple, tuple] = {}
+        self._open_slot_faults: Dict[int, tuple] = {}
         self._open_config_faults: Dict[tuple, float] = {}
 
     def feed(
@@ -156,15 +186,20 @@ class TraceFold:
         ordering cannot change what is folded.
         """
         if kind is TraceKind.ITEM_DONE:
-            started = self._open_items.pop((app_id, task_id, slot), None)
-            if started is not None:
+            opened = self._open_items.pop((app_id, task_id, slot), None)
+            if opened is not None:
+                started, item = opened
                 duration = time - started
                 self._item.observe(duration)
                 self._compute_busy += duration
                 self.item_busy_done_ms += duration
                 self._depth -= 1
+                if self._closed is not None:
+                    self._closed.append(Interval(
+                        ITEM, started, time, slot, app_id, task_id, True, item,
+                    ))
         elif kind is TraceKind.ITEM_START:
-            self._open_items[(app_id, task_id, slot)] = time
+            self._open_items[(app_id, task_id, slot)] = (time, detail)
             self._depth += 1
             if self._depth > self._peak:
                 self._peak = self._depth
@@ -177,61 +212,117 @@ class TraceFold:
                 self._dpr.observe(duration)
                 self._dpr_busy += duration
                 self.config_busy_done_ms += duration
-            recovered = self._open_config_faults.pop((app_id, task_id), None)
-            if recovered is not None:
-                self._recovery.observe(time - recovered)
+                if self._closed is not None:
+                    self._closed.append(Interval(
+                        DPR, started, time, slot, app_id, task_id, True,
+                        detail,
+                    ))
+            failed = self._open_config_faults.pop((app_id, task_id), None)
+            if failed is not None:
+                self._recovery.observe(time - failed)
+                if self._closed is not None:
+                    self._closed.append(Interval(
+                        DPR_RETRY, failed, time, slot, app_id, task_id, True,
+                        None,
+                    ))
         elif kind is TraceKind.CONFIG_FAILED:
             started = self._open_configs.pop((app_id, task_id, slot), None)
             if started is not None:
                 duration = time - started
                 self._dpr.observe(duration)
                 self._dpr_busy += duration
+                if self._closed is not None:
+                    self._closed.append(Interval(
+                        DPR, started, time, slot, app_id, task_id, False,
+                        detail,
+                    ))
             self._open_config_faults.setdefault((app_id, task_id), time)
         elif kind is TraceKind.TASK_PREEMPTED:
-            self._open_waits[(app_id, task_id)] = time
+            self._open_waits[(app_id, task_id)] = (
+                time, PREEMPTED, slot, detail,
+            )
         elif kind is TraceKind.TASK_RESUMED:
-            started = self._open_waits.pop((app_id, task_id), None)
-            if started is not None:
+            opened = self._open_waits.pop((app_id, task_id), None)
+            if opened is not None:
+                started, name, left, carried = opened
                 self._wait.observe(time - started)
+                if self._closed is not None:
+                    self._closed.append(Interval(
+                        name, started, time, left, app_id, task_id, True,
+                        carried,
+                    ))
         elif kind is TraceKind.SLOT_FAULT:
             if slot is not None:
                 # The fault kills whatever item was in flight on the slot.
                 for key in [k for k in self._open_items if k[2] == slot]:
-                    started = self._open_items.pop(key)
+                    started, item = self._open_items.pop(key)
                     duration = time - started
                     self._item.observe(duration)
                     self._compute_busy += duration
                     self._depth -= 1
-                self._open_slot_faults.setdefault(slot, time)
+                    if self._closed is not None:
+                        self._closed.append(Interval(
+                            ITEM, started, time, slot, key[0], key[1], False,
+                            item,
+                        ))
+                # Repeat faults before the repair open no second outage.
+                self._open_slot_faults.setdefault(slot, (time, detail))
             if app_id is not None:
-                self._open_waits[(app_id, task_id)] = time
+                self._open_waits[(app_id, task_id)] = (
+                    time, EVICTED, slot, detail,
+                )
         elif kind is TraceKind.SLOT_REPAIRED:
             if slot is not None:
-                started = self._open_slot_faults.pop(slot, None)
-                if started is not None:
+                opened = self._open_slot_faults.pop(slot, None)
+                if opened is not None:
+                    started, lost = opened
                     self._recovery.observe(time - started)
+                    if self._closed is not None:
+                        self._closed.append(Interval(
+                            OUTAGE, started, time, slot, None, None, True,
+                            lost,
+                        ))
+
+    def open_intervals(self, horizon: float) -> List[Interval]:
+        """The still-open intervals, closed at ``horizon`` with ``ok=False``.
+
+        Reconfigurations, items, waits, then outages, each in opening
+        order; an open DPR retry has no recovery time and is left out.
+        """
+        opened = [(DPR, start, slot, app_id, task_id, None)
+                  for (app_id, task_id, slot), start
+                  in self._open_configs.items()]
+        opened += [(ITEM, start, slot, app_id, task_id, item)
+                   for (app_id, task_id, slot), (start, item)
+                   in self._open_items.items()]
+        opened += [(name, start, slot, app_id, task_id, detail)
+                   for (app_id, task_id), (start, name, slot, detail)
+                   in self._open_waits.items()]
+        opened += [(OUTAGE, start, slot, None, None, detail)
+                   for slot, (start, detail) in self._open_slot_faults.items()]
+        return [
+            Interval(kind, start, max(horizon, start), slot, app_id,
+                     task_id, False, detail)
+            for kind, start, slot, app_id, task_id, detail in opened
+        ]
 
     def aggregates(self, horizon: float) -> FoldAggregates:
-        """Close still-open intervals at ``horizon`` (without mutating).
-
-        Open recoveries contribute nothing, exactly like
-        :func:`~repro.metrics.reliability.recovery_times_ms`.
-        """
+        """Close still-open intervals at ``horizon`` (without mutating)."""
         dpr = self._dpr.copy()
         item = self._item.copy()
         wait = self._wait.copy()
         dpr_busy = self._dpr_busy
         compute_busy = self._compute_busy
-        for started in self._open_configs.values():
-            duration = max(horizon, started) - started
-            dpr.observe(duration)
-            dpr_busy += duration
-        for started in self._open_items.values():
-            duration = max(horizon, started) - started
-            item.observe(duration)
-            compute_busy += duration
-        for started in self._open_waits.values():
-            wait.observe(max(horizon, started) - started)
+        for interval in self.open_intervals(horizon):
+            duration = interval.end_ms - interval.start_ms
+            if interval.kind == DPR:
+                dpr.observe(duration)
+                dpr_busy += duration
+            elif interval.kind == ITEM:
+                item.observe(duration)
+                compute_busy += duration
+            elif interval.kind in WAITS:
+                wait.observe(duration)
         return FoldAggregates(
             dpr=dpr, item=item, wait=wait, recovery=self._recovery.copy(),
             dpr_busy_ms=dpr_busy, compute_busy_ms=compute_busy,
@@ -246,3 +337,23 @@ def fold_rows(rows) -> TraceFold:
     for row in rows:
         feed(*row)
     return fold
+
+
+def trace_intervals(
+    trace: Trace, end_ms: Optional[float] = None
+) -> List[Interval]:
+    """Every interval of a trace's stored rows, as the fold pairs them.
+
+    Closed intervals in closing order, then the ones still open at
+    ``end_ms`` (default: the last event's time). A metrics-mode trace
+    has no rows to pair and raises :class:`~repro.errors.ExperimentError`.
+    """
+    if isinstance(trace, MetricsTrace):
+        raise trace._rows_unavailable("interval pairing")
+    fold = TraceFold()
+    fold._closed = []
+    for row in trace._rows:
+        fold.feed(*row)
+    if end_ms is None:
+        end_ms = trace.end_ms if len(trace) else 0.0
+    return fold._closed + fold.open_intervals(end_ms)

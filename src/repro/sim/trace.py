@@ -9,8 +9,8 @@ Performance notes
 :class:`Trace` stores events **columnar-internally**: ``record`` appends a
 plain ``(time, kind, app_id, task_id, slot, detail)`` tuple, which is far
 cheaper than constructing a frozen dataclass on the hot path, and keeps a
-per-kind index of row positions so ``of_kind``/``first`` and the busy-time
-accumulators never re-scan the full trace. :class:`TraceEvent` objects are
+per-kind index of row positions so ``of_kind``/``first``/``count`` never
+re-scan the full trace. :class:`TraceEvent` objects are
 materialised lazily — the first time user code iterates the trace — and
 cached, so repeated metric queries pay the construction cost once. None of
 this changes what is recorded or in which order: an exported trace is
@@ -203,47 +203,17 @@ class Trace:
             return TraceEvent(*row)
         return None
 
-    def _paired_busy_ms(
-        self,
-        start_kind: TraceKind,
-        done_kind: TraceKind,
-        app_id: Optional[int],
-        key_detail: bool,
-    ) -> float:
-        """Sum of (done - start) over matching start/done row pairs."""
-        positions = sorted(
-            self._by_kind.get(start_kind, []) + self._by_kind.get(done_kind, [])
-        )
-        rows = self._rows
-        starts: Dict[tuple, float] = {}
-        total = 0.0
-        for i in positions:
-            time, kind, row_app, task_id, slot, detail = rows[i]
-            if app_id is not None and row_app != app_id:
-                continue
-            key = (
-                (row_app, task_id, slot, detail) if key_detail
-                else (row_app, task_id, slot)
-            )
-            if kind is start_kind:
-                starts[key] = time
-            elif key in starts:
-                total += time - starts.pop(key)
-        return total
+    def reconfig_busy_ms(self) -> float:
+        """Total time spent reconfiguring slots (successful DPRs only)."""
+        from repro.sim.fold import fold_rows
 
-    def reconfig_busy_ms(self, app_id: Optional[int] = None) -> float:
-        """Total time spent reconfiguring slots (optionally for one app)."""
-        return self._paired_busy_ms(
-            TraceKind.TASK_CONFIG_START, TraceKind.TASK_CONFIG_DONE,
-            app_id, key_detail=False,
-        )
+        return fold_rows(self._rows).config_busy_done_ms
 
-    def run_busy_ms(self, app_id: Optional[int] = None) -> float:
-        """Total task execution time summed over all items (and apps)."""
-        return self._paired_busy_ms(
-            TraceKind.ITEM_START, TraceKind.ITEM_DONE,
-            app_id, key_detail=True,
-        )
+    def run_busy_ms(self) -> float:
+        """Total task execution time summed over all completed items."""
+        from repro.sim.fold import fold_rows
+
+        return fold_rows(self._rows).item_busy_done_ms
 
 
 class MetricsTrace(Trace):
@@ -257,14 +227,13 @@ class MetricsTrace(Trace):
     what a full-mode trace would report — while memory stays O(1) in
     the event count.
 
-    Busy time is paired *streaming*: ``TASK_CONFIG_START`` /
-    ``TASK_CONFIG_DONE`` and ``ITEM_START`` / ``ITEM_DONE`` events match
-    up through the same keys :meth:`Trace._paired_busy_ms` uses, so
-    :meth:`run_busy_ms` and :meth:`reconfig_busy_ms` (whole-board form)
-    equal the full-mode row scan to the bit.
+    Busy time is paired *streaming* by the live
+    :class:`~repro.sim.fold.TraceFold`, the same fold a full-mode trace
+    replays its rows through, so :meth:`run_busy_ms` and
+    :meth:`reconfig_busy_ms` equal the full-mode values to the bit.
 
     Row-level queries (``events``, iteration, ``of_kind``, ``first``,
-    ``for_app``, per-app busy time) have nothing to read and raise
+    ``for_app``) have nothing to read and raise
     :class:`~repro.errors.ExperimentError` naming the fix: rerun with
     ``mode="full"``.
     """
@@ -353,16 +322,12 @@ class MetricsTrace(Trace):
             raise IndexError("trace is empty")
         return self._last_ms
 
-    def reconfig_busy_ms(self, app_id: Optional[int] = None) -> float:
+    def reconfig_busy_ms(self) -> float:
         """Whole-board reconfiguration busy time (exact, streaming)."""
-        if app_id is not None:
-            raise self._rows_unavailable("per-app reconfig_busy_ms")
         return self.fold.config_busy_done_ms
 
-    def run_busy_ms(self, app_id: Optional[int] = None) -> float:
+    def run_busy_ms(self) -> float:
         """Whole-board item execution busy time (exact, streaming)."""
-        if app_id is not None:
-            raise self._rows_unavailable("per-app run_busy_ms")
         return self.fold.item_busy_done_ms
 
     # -- row-level queries: nothing to read --------------------------------

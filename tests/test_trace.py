@@ -57,10 +57,6 @@ class TestAggregates:
     def test_reconfig_busy_sums_intervals(self):
         assert _sample_trace().reconfig_busy_ms() == 80.0
 
-    def test_reconfig_busy_per_app(self):
-        assert _sample_trace().reconfig_busy_ms(app_id=1) == 80.0
-        assert _sample_trace().reconfig_busy_ms(app_id=2) == 0.0
-
     def test_run_busy_sums_item_durations(self):
         assert _sample_trace().run_busy_ms() == 100.0
 
