@@ -4,7 +4,7 @@
 The paper names scale-out as a core virtualization feature (§1). This
 example replays the same stress-test arrival stream against fleets of one
 to four virtualized FPGAs (each running its own Nimblock scheduler) and
-compares the two dispatch policies of the cluster front-end.
+compares two placement policies of the cluster tier (``repro.cluster``).
 
 Run:
     python examples/scaleout_cluster.py
@@ -13,15 +13,17 @@ Run:
 from __future__ import annotations
 
 from repro import STRESS, scenario_sequence
-from repro.hypervisor.cluster import DISPATCH_POLICIES, FPGACluster
+from repro.cluster import Cluster, fleet_profiles
+
+DISPATCH_POLICIES = ("round_robin", "least_loaded")
 
 
 def run_fleet(num_devices: int, dispatch: str, sequence):
-    cluster = FPGACluster(num_devices, dispatch=dispatch)
-    for request in sequence.to_requests():
-        cluster.submit(request)
-    cluster.run()
-    return cluster
+    cluster = Cluster(
+        fleet_profiles(num_devices, mix=("zcu106",)), placement=dispatch
+    )
+    cluster.submit_sequence(sequence)
+    return cluster.run()
 
 
 def main() -> None:
@@ -39,16 +41,16 @@ def main() -> None:
     for devices in (1, 2, 3, 4):
         row = f"{devices:8d}"
         for dispatch in DISPATCH_POLICIES:
-            cluster = run_fleet(devices, dispatch, sequence)
-            mean_s = cluster.mean_response_ms() / 1000.0
+            report = run_fleet(devices, dispatch, sequence)
+            mean_s = report.sketch.mean / 1000.0
             placement = "/".join(
-                str(count) for count in cluster.device_utilization()
+                str(payload["submitted"]) for payload in report.boards
             )
             row += f"{mean_s:20.1f}{placement:>14s}"
         print(row)
 
     print(
-        "\nleast-loaded dispatch uses the hypervisor's HLS-based work "
+        "\nleast-loaded placement uses the hypervisor's HLS-based work "
         "estimates, so kilosecond applications (digit recognition) land "
         "alone while short applications pack together."
     )

@@ -29,7 +29,6 @@ from repro.hypervisor import (
     AppRequest,
     AppResult,
     FaaSGateway,
-    FPGACluster,
     Hypervisor,
     single_slot_latency_ms,
 )
@@ -143,7 +142,6 @@ __all__ = [
     "AppRequest",
     "AppResult",
     "FaaSGateway",
-    "FPGACluster",
     "Hypervisor",
     "single_slot_latency_ms",
     "render_timeline",

@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
             "disable the steady-state macro-event replay cache in the "
             "'serve' and 'cluster' drills (output is byte-identical "
             "either way; the flag exists for A/B verification and the "
-            "replay-equivalence CI diff)"
+            "replay-on/off pairs of the 'determinism' CI job)"
         ),
     )
     parser.add_argument(
@@ -315,9 +315,9 @@ def _run_overload(
 def _run_serve(args: argparse.Namespace, settings: ExperimentSettings) -> int:
     """The one-shot open-loop service drill (``serve``).
 
-    Everything on stdout is deterministic (the ``service-smoke`` CI job
-    diffs ``--jobs 1`` against ``--jobs 2``); wall-clock throughput goes
-    to stderr.
+    Everything on stdout is deterministic (the ``determinism`` CI job's
+    ``serve`` entry diffs ``--jobs 1`` against ``--jobs 2``); wall-clock
+    throughput goes to stderr.
     """
     import time
 
@@ -362,8 +362,8 @@ def _run_cluster(
     """The one-shot multi-board fleet drill (``cluster``).
 
     Everything on stdout is deterministic and independent of ``--jobs``
-    (the ``cluster-determinism`` CI job diffs ``--jobs 1`` against
-    ``--jobs 4``); wall-clock notes go to stderr.
+    (the ``determinism`` CI job's ``fleet`` entry diffs ``--jobs 1``
+    against ``--jobs 4``); wall-clock notes go to stderr.
     """
     from repro.facade import cluster_report as run_fleet
 
@@ -395,8 +395,8 @@ def _run_tune(args: argparse.Namespace, settings: ExperimentSettings) -> int:
     """The closed-loop remediation drill (``tune``).
 
     Everything on stdout is deterministic and independent of ``--jobs``
-    (the ``tune-determinism`` CI job diffs ``--jobs 1`` against
-    ``--jobs 2``); wall-clock notes go to stderr.
+    (the ``determinism`` CI job's ``tune`` entry diffs ``--jobs 1``
+    against ``--jobs 2``); wall-clock notes go to stderr.
     """
     import time
 

@@ -481,8 +481,7 @@ class Cluster:
         """The picklable per-board simulation inputs, one per board.
 
         ``autotune`` (an :class:`~repro.autotune.engine.AutotuneConfig`,
-        or None) arms the per-board remediation pipeline; tasks stay
-        10-tuples when it is None so un-tuned pickles are unchanged.
+        or None) arms the per-board remediation pipeline.
         """
         tasks: List[BoardTask] = []
         for board in self._boards:
@@ -492,7 +491,7 @@ class Cluster:
                     key=lambda item: (item[1].arrival_ms, item[0]),
                 )
             )
-            task = (
+            tasks.append((
                 board.index,
                 board.profile,
                 self._scheduler,
@@ -504,10 +503,8 @@ class Cluster:
                 self._seed + board.index,
                 mode,
                 replay,
-            )
-            if autotune is not None:
-                task = task + (autotune,)
-            tasks.append(task)
+                autotune,
+            ))
         return tasks
 
     def run(

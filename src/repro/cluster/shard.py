@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.cluster.profiles import BoardProfile
 from repro.config import SystemConfig
@@ -38,24 +38,23 @@ from repro.sim.trace import Trace
 from repro.sim.trace_export import trace_to_dict
 from repro.workload.events import EventSpec
 
+if TYPE_CHECKING:
+    from repro.autotune.engine import AutotuneConfig
+
 #: One board's simulation input: (board index, profile, scheduler name,
 #: fleet-wide base config or None, placed event specs in arrival order,
 #: per-board fault config or None, per-board admission policy name or
-#: None, per-board seed, run mode, replay-cache enable). Everything is a
-#: primitive or a frozen dataclass of primitives, hence picklable. The
-#: trailing replay flag is optional — 9-tuples from older callers run
-#: with the replay cache enabled (the default is byte-identical to a
-#: replay-off run, so the flag only exists for A/B verification). An
-#: optional 11th leg carries an
-#: :class:`~repro.autotune.engine.AutotuneConfig` (or None): when armed,
-#: the worker runs the board-level remediation pipeline after the
-#: baseline simulation and the payload gains an ``"autotune"`` decision
-#: record — absent otherwise, so un-tuned payloads (and their golden
-#: pins) are unchanged.
+#: None, per-board seed, run mode, replay-cache enable, autotune config
+#: or None). Everything is a primitive or a frozen dataclass of
+#: primitives, hence picklable. A replay-off run is byte-identical to a
+#: replay-on one (the flag exists for A/B verification). An armed
+#: :class:`~repro.autotune.engine.AutotuneConfig` makes the worker run
+#: the board-level remediation pipeline after the baseline simulation,
+#: and the payload gains an ``"autotune"`` decision record.
 BoardTask = Tuple[
     int, BoardProfile, str, Optional[SystemConfig],
     Tuple[EventSpec, ...], Optional[FaultConfig], Optional[str], int, str,
-    bool,
+    bool, Optional["AutotuneConfig"],
 ]
 
 
@@ -152,9 +151,7 @@ def simulate_board(task: BoardTask) -> dict:
     the trace digest.
     """
     (board_index, profile, scheduler_name, base_config, specs,
-     fault_config, admission_policy, seed, mode) = task[:9]
-    replay = task[9] if len(task) > 9 else True
-    autotune = task[10] if len(task) > 10 else None
+     fault_config, admission_policy, seed, mode, replay, autotune) = task
     if not specs:
         return _empty_payload(board_index, profile, mode)
     payload, hypervisor, controller = _board_run(

@@ -1,14 +1,11 @@
 """Extension study: scale-out across a fleet of virtualized FPGAs (§1).
 
 The cluster tier (:mod:`repro.cluster`) dispatches whole applications to
-one of ``N`` Nimblock-scheduled boards. We sweep fleet sizes under a
-heavy arrival stream and compare placement policies on mean response.
-
-Historically this study ran on the toy ``FPGACluster`` front-end and
-capped out at four homogeneous devices; it now drives the real cluster
-tier — homogeneous zcu106 fleets for continuity with the old numbers —
-and sweeps to 64 boards, sharding board simulation over ``jobs`` worker
-processes.
+one of ``N`` Nimblock-scheduled boards. We sweep homogeneous zcu106
+fleets from one to 64 boards under a heavy arrival stream and compare
+placement policies on mean response, sharding board simulation over
+``jobs`` worker processes. :func:`run_fleets`, the per-sequence fleet
+loop, is shared with the heterogeneous-fleet study (``ext_hetero``).
 
 Expected shapes: mean response improves steeply from one to two boards
 and sub-linearly after (a fixed arrival stream can only be spread so
@@ -22,21 +19,72 @@ dominates across workloads, which is itself the finding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.cluster import Cluster, fleet_profiles
-from repro.experiments.runner import (
-    ExperimentSettings,
-    format_table,
-)
+from repro.cluster import BoardProfile, Cluster, fleet_profiles
+from repro.experiments.runner import ExperimentSettings, format_table
 from repro.workload.scenarios import STRESS, scenario_sequence
 
-#: Fleet sizes swept: 1 -> 64, doubling (the old front-end stopped at 4).
+#: Fleet sizes swept: 1 -> 64, doubling.
 FLEET_SIZES: Tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64)
 
-#: Placement policies compared (the old study's two dispatch policies,
-#: now backed by the cluster tier's placement registry).
+#: Placement policies compared.
 DISPATCH_POLICIES: Tuple[str, ...] = ("round_robin", "least_loaded")
+
+
+@dataclass(frozen=True)
+class FleetOutcome:
+    """One fleet's results over a study's arrival streams."""
+
+    #: Mean of the per-sequence mean responses (ms).
+    mean_response_ms: float
+    #: Applications placed on each board, summed over sequences.
+    placements: Tuple[int, ...]
+    #: Busy slot-time on each board (ms), summed over sequences.
+    run_busy_ms: Tuple[float, ...]
+
+
+def run_fleets(
+    fleets: Mapping[Hashable, Tuple[Sequence[BoardProfile], str]],
+    settings: ExperimentSettings,
+    cache=None,
+    *,
+    jobs=None,
+    mode: str = "full",
+    scheduler: str = "nimblock",
+) -> Dict[Hashable, FleetOutcome]:
+    """Run the study's stress streams on each ``(profiles, placement)``.
+
+    Every sequence gets a fresh :class:`~repro.cluster.Cluster`, so
+    fleets never share state. ``jobs`` (else ``cache.jobs``) shards each
+    run's board simulation and ``mode`` picks its run mode; neither
+    changes an outcome.
+    """
+    from repro.experiments import parallel
+
+    resolved_jobs = parallel.resolve_jobs(jobs, cache)
+    sequences = [
+        scenario_sequence(STRESS, seed, settings.num_events)
+        for seed in settings.seeds()
+    ]
+    outcomes: Dict[Hashable, FleetOutcome] = {}
+    for key, (profiles, placement) in fleets.items():
+        responses: List[float] = []
+        placed = [0] * len(profiles)
+        busy = [0.0] * len(profiles)
+        for sequence in sequences:
+            fleet = Cluster(profiles, placement=placement,
+                            scheduler=scheduler, seed=settings.base_seed)
+            fleet.submit_sequence(sequence)
+            report = fleet.run(jobs=resolved_jobs, mode=mode)
+            for payload in report.boards:
+                placed[payload["board"]] += payload["submitted"]
+                busy[payload["board"]] += payload["run_busy_ms"]
+            responses.append(report.sketch.mean)
+        outcomes[key] = FleetOutcome(
+            sum(responses) / len(responses), tuple(placed), tuple(busy)
+        )
+    return outcomes
 
 
 @dataclass(frozen=True)
@@ -45,7 +93,7 @@ class ScaleOutResult:
 
     scheduler: str
     mean_response_ms: Dict[Tuple[int, str], float]
-    placements: Dict[Tuple[int, str], List[int]]
+    placements: Dict[Tuple[int, str], Tuple[int, ...]]
 
     def response(self, devices: int, dispatch: str) -> float:
         """Mean response (ms) for one fleet configuration."""
@@ -58,7 +106,7 @@ class ScaleOutResult:
 
 def run(
     settings: Optional[ExperimentSettings] = None,
-    cache=None,  # accepted for harness uniformity
+    cache=None,
     *,
     jobs=None,
     mode: str = "full",
@@ -66,36 +114,24 @@ def run(
     fleet_sizes: Tuple[int, ...] = FLEET_SIZES,
 ) -> ScaleOutResult:
     """Sweep fleet sizes and placement policies on one arrival stream."""
-    from repro.experiments import parallel
-
-    settings = settings or ExperimentSettings.from_env()
-    resolved_jobs = parallel.resolve_jobs(jobs, cache)
-    sequences = [
-        scenario_sequence(STRESS, seed, settings.num_events)
-        for seed in settings.seeds()
-    ]
-    means: Dict[Tuple[int, str], float] = {}
-    placements: Dict[Tuple[int, str], List[int]] = {}
-    for devices in fleet_sizes:
-        for dispatch in DISPATCH_POLICIES:
-            responses: List[float] = []
-            balance = [0] * devices
-            for sequence in sequences:
-                fleet = Cluster(
-                    fleet_profiles(devices, mix=("zcu106",)),
-                    placement=dispatch,
-                    scheduler=scheduler,
-                    seed=settings.base_seed,
-                )
-                fleet.submit_sequence(sequence)
-                report = fleet.run(jobs=resolved_jobs)
-                for payload in report.boards:
-                    balance[payload["board"]] += payload["submitted"]
-                responses.append(report.sketch.mean)
-            means[(devices, dispatch)] = sum(responses) / len(responses)
-            placements[(devices, dispatch)] = balance
+    outcomes = run_fleets(
+        {
+            (devices, dispatch): (
+                fleet_profiles(devices, mix=("zcu106",)), dispatch
+            )
+            for devices in fleet_sizes
+            for dispatch in DISPATCH_POLICIES
+        },
+        settings or ExperimentSettings.from_env(),
+        cache,
+        jobs=jobs,
+        mode=mode,
+        scheduler=scheduler,
+    )
     return ScaleOutResult(
-        scheduler=scheduler, mean_response_ms=means, placements=placements
+        scheduler=scheduler,
+        mean_response_ms={k: o.mean_response_ms for k, o in outcomes.items()},
+        placements={k: o.placements for k, o in outcomes.items()},
     )
 
 

@@ -213,7 +213,7 @@ def serve_report(
     Runs one open-loop service per requested scheduler (fanned out over
     ``jobs`` workers) and renders the deterministic report payloads —
     the text is byte-identical at any ``jobs`` count, which the
-    ``service-smoke`` CI job diffs.
+    ``determinism`` CI job's ``serve`` entry diffs.
     """
     tasks: List[ServiceTask] = [
         (scheduler, admission, rate, burstiness, seed, submissions,

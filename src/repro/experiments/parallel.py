@@ -224,8 +224,12 @@ def overload_cells(
     return fanout(_simulate_overload, tasks, jobs=jobs)
 
 
-#: An observed task: (scheduler, stimulus, fault config, platform config).
-ObservedTask = ChaosTask
+#: An observed task: (scheduler, stimulus, fault config, platform config,
+#: admission policy name or None, admission seed).
+ObservedTask = Tuple[
+    str, EventSequence, Optional[FaultConfig], Optional[SystemConfig],
+    Optional[str], int,
+]
 
 
 def _simulate_observed(task: ObservedTask) -> dict:
@@ -237,9 +241,7 @@ def _simulate_observed(task: ObservedTask) -> dict:
     """
     from repro.observe.aggregate import observed_run
 
-    scheduler_name, sequence, fault_config, config = task[:4]
-    admission = task[4] if len(task) > 4 else None
-    seed = task[5] if len(task) > 5 else 0
+    scheduler_name, sequence, fault_config, config, admission, seed = task
     _, observer = observed_run(
         scheduler_name, sequence, fault_config, config=config,
         admission=admission, seed=seed,

@@ -243,8 +243,8 @@ def tune(
     Returns a JSON-safe dict: the episode parameters, the SLO, a
     ``baseline`` and a ``tuned`` summary (attainment / p99 / loss, plus
     the tuned run's decision log), and a sha256 ``digest`` over the
-    whole canonical payload — the surface the ``tune-determinism`` CI
-    job pins.
+    whole canonical payload — the surface the ``determinism`` CI job's
+    ``tune`` entry pins.
     """
     import hashlib
     import json
@@ -321,8 +321,8 @@ def tune_report(
     """The ``repro tune`` drill as deterministic text (or JSON).
 
     With ``as_json`` the payload is dumped as canonical JSON (sorted
-    keys, one trailing newline) — the byte stream the
-    ``tune-determinism`` CI job diffs across ``--jobs`` values.
+    keys, one trailing newline) — the byte stream the ``determinism``
+    CI job's ``tune`` entry diffs across ``--jobs`` values.
     """
     import json
 
@@ -477,7 +477,8 @@ def cluster_report(
 
     With ``as_json`` the merged snapshot is dumped as canonical JSON
     (sorted keys, one trailing newline) — the byte stream the
-    ``cluster-determinism`` CI job diffs across ``--jobs`` values.
+    ``determinism`` CI job's ``fleet`` entry diffs across ``--jobs``
+    values.
     """
     import json
 

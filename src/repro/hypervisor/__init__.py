@@ -15,7 +15,6 @@ from repro.hypervisor.application import (
 from repro.hypervisor.queues import PendingQueue
 from repro.hypervisor.results import AppResult, single_slot_latency_ms
 from repro.hypervisor.hypervisor import Hypervisor, SchedulerContext
-from repro.hypervisor.cluster import ClusterResult, FPGACluster
 from repro.hypervisor.faas import FaaSGateway, FunctionSpec, InvocationOutcome
 
 __all__ = [
@@ -28,8 +27,6 @@ __all__ = [
     "single_slot_latency_ms",
     "Hypervisor",
     "SchedulerContext",
-    "ClusterResult",
-    "FPGACluster",
     "FaaSGateway",
     "FunctionSpec",
     "InvocationOutcome",

@@ -10,12 +10,13 @@ the per-run snapshots associatively, so::
     == collect_metrics(schedulers, sequences, jobs=N)
 
 byte-for-byte, for any ``N``. The ``repro stats`` CLI subcommand and the
-CI observability job are built directly on this identity.
+``stats`` entry of the ``determinism`` CI job are built directly on this
+identity.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.config import SystemConfig
 from repro.errors import ExperimentError
@@ -24,12 +25,8 @@ from repro.observe.instrument import Instrumentation
 from repro.observe.metrics import merge_snapshots
 from repro.workload.events import EventSequence
 
-#: One observed-run task: (scheduler, stimulus, faults, platform), plus
-#: an optional trailing (admission policy name or None, seed) pair —
-#: 4-tuples from older callers run without admission control.
-ObservedTask = Tuple[
-    str, EventSequence, Optional[FaultConfig], Optional[SystemConfig]
-]
+if TYPE_CHECKING:
+    from repro.experiments.parallel import ObservedTask
 
 
 def observed_run(
@@ -105,10 +102,7 @@ def collect_snapshots(
     from repro.experiments import parallel
 
     tasks: List[ObservedTask] = [
-        # Keep the 4-tuple shape unless admission is requested, so
-        # pickled tasks stay compatible with older workers.
-        (name, sequence, fault_config, config) if admission is None
-        else (name, sequence, fault_config, config, admission, seed)
+        (name, sequence, fault_config, config, admission, seed)
         for name in schedulers
         for sequence in sequences
     ]

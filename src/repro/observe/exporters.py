@@ -13,8 +13,9 @@ Three interchange formats over one run:
   snapshot in the text exposition format for scraping/diffing.
 
 All exporters are pure functions of their inputs, so identical runs
-export byte-identical artifacts — the CI observability job relies on
-this when it diffs serial against parallel metrics.
+export byte-identical artifacts — the ``stats`` entry of the
+``determinism`` CI job relies on this when it diffs serial against
+parallel metrics.
 """
 
 from __future__ import annotations

@@ -106,7 +106,7 @@ class ServiceReport:
     #: Run mode the loop executed under. Like ``wall_s`` it is excluded
     #: from :meth:`to_dict` — the deterministic payload is identical
     #: across modes (and across ``--jobs``), which is exactly what the
-    #: mode-equivalence CI diff asserts.
+    #: ``serve`` entry of the ``determinism`` CI job diffs.
     mode: str = "full"
     #: Macro-event replay cache counters. Excluded from :meth:`to_dict`
     #: like ``wall_s``/``mode``: replay is a pure execution strategy, so

@@ -1,132 +1,75 @@
-"""Tests for multi-FPGA scale-out (repro.hypervisor.cluster)."""
+"""Scale-out basics on the cluster front-end (`repro.cluster.Cluster`).
+
+Dispatch, end-to-end retirement and heterogeneous fleets; the placement
+policy details, operational verbs and admission live in
+``test_cluster_tier.py``.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import SchedulerError, WorkloadError
-from repro.hypervisor.cluster import FPGACluster
-from repro.taskgraph.builders import chain_graph
-from tests.conftest import request, small_config
+from repro.cluster import Cluster, EDGE_BOARD, ZCU106_BOARD, fleet_profiles
+from repro.errors import ClusterError
+from repro.workload.events import EventSpec
 
 
-def light_request(index, latency=100.0, batch=2):
-    graph = chain_graph(f"app{index}", [latency])
-    return request(graph, batch_size=batch, arrival_ms=float(index * 10))
+def light_events(count, benchmark="lenet", batch=2, spacing_ms=10.0):
+    return [
+        EventSpec(benchmark, batch, 1, spacing_ms * i) for i in range(count)
+    ]
+
+
+def homogeneous(num_boards, placement="least_loaded"):
+    return Cluster(
+        fleet_profiles(num_boards, mix=("zcu106",)), placement=placement
+    )
 
 
 class TestDispatch:
     def test_round_robin_rotates(self):
-        cluster = FPGACluster(3, config=small_config(), dispatch="round_robin")
-        devices = [cluster.submit(light_request(i))[0] for i in range(6)]
-        assert devices == [0, 1, 2, 0, 1, 2]
-
-    def test_least_loaded_balances_by_estimate(self):
-        cluster = FPGACluster(2, config=small_config(),
-                              dispatch="least_loaded")
-        heavy = chain_graph("heavy", [10_000.0])
-        light = chain_graph("light", [10.0])
-        first, _ = cluster.submit(request(heavy, batch_size=5))
-        second, _ = cluster.submit(request(light, arrival_ms=1.0))
-        third, _ = cluster.submit(request(light, arrival_ms=2.0))
-        assert first != second
-        # The heavy device stays loaded: both light apps avoid it.
-        assert second == third
+        fleet = homogeneous(3, placement="round_robin")
+        boards = [fleet.submit(spec).board for spec in light_events(6)]
+        assert boards == [0, 1, 2, 0, 1, 2]
 
     def test_unknown_dispatch_rejected(self):
-        with pytest.raises(SchedulerError, match="dispatch"):
-            FPGACluster(2, dispatch="random")
+        with pytest.raises(ClusterError, match="unknown placement"):
+            homogeneous(2, placement="random")
 
     def test_zero_devices_rejected(self):
-        with pytest.raises(WorkloadError, match="num_devices"):
-            FPGACluster(0)
+        with pytest.raises(ClusterError, match="num_boards"):
+            fleet_profiles(0)
 
 
 class TestExecution:
     def test_all_applications_retire_across_fleet(self):
-        cluster = FPGACluster(2, config=small_config())
-        for i in range(5):
-            cluster.submit(light_request(i))
-        cluster.run()
-        results = cluster.results()
-        assert len(results) == 5
-        assert sum(cluster.device_utilization()) == 5
-
-    def test_submit_after_run_rejected(self):
-        cluster = FPGACluster(1, config=small_config())
-        cluster.submit(light_request(0))
-        cluster.run()
-        with pytest.raises(SchedulerError, match="already ran"):
-            cluster.submit(light_request(1))
-
-    def test_mean_response_requires_submissions(self):
-        cluster = FPGACluster(1, config=small_config())
-        cluster.run()
-        with pytest.raises(SchedulerError, match="no applications"):
-            cluster.mean_response_ms()
+        fleet = homogeneous(2)
+        fleet.submit_sequence(light_events(5))
+        report = fleet.run()
+        assert report.submitted == 5
+        assert report.retired == 5
+        assert sum(payload["retired"] for payload in report.boards) == 5
 
     def test_more_devices_never_hurt_much(self):
-        def fleet_mean(devices):
-            cluster = FPGACluster(devices, config=small_config())
-            for i in range(8):
-                cluster.submit(light_request(i, latency=500.0, batch=4))
-            cluster.run()
-            return cluster.mean_response_ms()
+        def fleet_mean(num_boards):
+            fleet = homogeneous(num_boards)
+            fleet.submit_sequence(light_events(8, benchmark="imgc", batch=4))
+            return fleet.run().sketch.mean
 
         one, four = fleet_mean(1), fleet_mean(4)
         assert four < one
 
-    def test_results_annotated_with_device(self):
-        cluster = FPGACluster(2, config=small_config(),
-                              dispatch="round_robin")
-        for i in range(4):
-            cluster.submit(light_request(i))
-        cluster.run()
-        devices = {r.device for r in cluster.results()}
-        assert devices == {0, 1}
-
 
 class TestHeterogeneousFleet:
-    def test_device_configs_override_count(self):
-        cluster = FPGACluster(
-            1,
-            device_configs=[small_config(num_slots=4),
-                            small_config(num_slots=2)],
-        )
-        assert cluster.num_devices == 2
-        assert cluster.hypervisors[0].config.num_slots == 4
-        assert cluster.hypervisors[1].config.num_slots == 2
-
     def test_empty_device_configs_rejected(self):
-        import pytest as _pytest
-
-        with _pytest.raises(WorkloadError, match="non-empty"):
-            FPGACluster(1, device_configs=[])
-
-    def test_capability_normalized_dispatch(self):
-        # A big board (8 slots) and a tiny one (1 slot): after the big
-        # board takes one app, normalized load still favors it over the
-        # tiny board for similarly sized work.
-        big = small_config(num_slots=8)
-        tiny = small_config(num_slots=1)
-        cluster = FPGACluster(1, device_configs=[big, tiny],
-                              dispatch="least_loaded")
-        first, _ = cluster.submit(light_request(0, latency=100.0, batch=2))
-        second, _ = cluster.submit(light_request(1, latency=100.0, batch=2))
-        third, _ = cluster.submit(light_request(2, latency=100.0, batch=2))
-        assert first == 0
-        # Normalized: big load/8 stays below tiny 0/1 only until the tiny
-        # board is genuinely competitive; at least one early app must
-        # still land on the big board after the first.
-        assert second == 0 or third == 0
+        with pytest.raises(ClusterError, match="non-empty"):
+            fleet_profiles(2, mix=())
+        with pytest.raises(ClusterError, match="at least one board"):
+            Cluster([])
 
     def test_heterogeneous_fleet_completes(self):
-        cluster = FPGACluster(
-            1,
-            device_configs=[small_config(num_slots=4),
-                            small_config(num_slots=2)],
-        )
-        for i in range(6):
-            cluster.submit(light_request(i, latency=200.0, batch=3))
-        cluster.run()
-        assert len(cluster.results()) == 6
+        fleet = Cluster((ZCU106_BOARD, EDGE_BOARD))
+        fleet.submit_sequence(light_events(6, batch=3, spacing_ms=1.0))
+        report = fleet.run()
+        assert report.retired == 6
+        assert all(payload["submitted"] > 0 for payload in report.boards)

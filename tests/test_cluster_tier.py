@@ -13,6 +13,7 @@ import pytest
 
 from repro.cluster import (
     Cluster,
+    EDGE_BOARD,
     PLACEMENT_POLICIES,
     ZCU106_BOARD,
     BoardProfile,
@@ -108,6 +109,25 @@ class TestPlacementPolicies:
         )
         decisions = fleet.submit_sequence(same_app_events(6))
         assert [d.board for d in decisions] == [0, 1, 0, 1, 0, 1]
+
+    def test_least_loaded_isolates_a_heavy_application(self):
+        fleet = Cluster(
+            fleet_profiles(2, mix=("zcu106",)), placement="least_loaded"
+        )
+        heavy = fleet.submit(EventSpec("dr", 5, 1, 0.0))
+        light = [
+            fleet.submit(EventSpec("lenet", 2, 1, arrival)).board
+            for arrival in (1.0, 2.0)
+        ]
+        # The heavy board stays loaded: both short apps avoid it.
+        assert light == [1 - heavy.board] * 2
+
+    def test_least_loaded_normalizes_by_capability(self):
+        # Identical applications on a 10-slot zcu106 and a 4-slot edge
+        # board: per-slot backlog favours the bigger board.
+        fleet = Cluster((ZCU106_BOARD, EDGE_BOARD), placement="least_loaded")
+        boards = [d.board for d in fleet.submit_sequence(same_app_events(10))]
+        assert boards.count(0) > boards.count(1)
 
     def test_round_robin_cycles_and_skips_draining(self):
         fleet = Cluster(

@@ -102,6 +102,18 @@ class TestHeteroFleets:
         assert "heterogeneous" in ext_hetero.format_result(result).lower()
 
 
+class TestFleetStudiesJobsAndMode:
+    def test_results_independent_of_jobs_and_mode(self):
+        from repro.experiments import ext_hetero
+
+        for run in (
+            ext_hetero.run,
+            lambda **kw: ext_scaleout.run(fleet_sizes=(1, 2), **kw),
+        ):
+            serial = run(settings=TINY, jobs=1, mode="full")
+            assert serial == run(settings=TINY, jobs=2, mode="metrics")
+
+
 class TestExtendedSchedulers:
     def test_tables_complete(self):
         result = ext_schedulers.run(cache=RunCache(), settings=TINY)
