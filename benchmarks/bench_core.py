@@ -1,9 +1,9 @@
-"""Core bench: raw simulation throughput in engine events per second.
+"""Core bench: raw simulation throughput in apps and events per second.
 
 Where ``bench_sweep`` times the experiment *harness* (cache, process
 fan-out), this bench isolates the simulation *core*: the event heap, the
 hypervisor decision passes and the trace recorder. The rates reported
-(schema 2 entries in BENCH_core.json):
+(schema 3 entries in BENCH_core.json; schema 3 adds the apps/sec rates):
 
 * **engine schedule/sec** and **engine fire/sec** — an empty-callback
   timer storm through the raw array-native
@@ -11,11 +11,12 @@ hypervisor decision passes and the trace recorder. The rates reported
   enqueue phase and the dispatch (``run``) phase timed separately. The
   fire rate is the per-event overhead floor of the heap itself and the
   number held to the >=1M events/sec target;
-* **sim events/sec** (``mode="full"``) and **sim metrics events/sec**
-  (``mode="metrics"``) — full hypervisor simulations (every registry
-  scheduler over deterministic generated sequences), counting the
-  events the engine actually processed. Both run the same sequences,
-  so the pair doubles as a coarse mode-overhead comparison.
+* **sim apps/sec** and **sim events/sec** (``mode="full"``), and their
+  ``mode="metrics"`` twins — full hypervisor simulations (every
+  registry scheduler over deterministic generated sequences), counting
+  the applications retired and the events the engine actually
+  processed. Both modes run the same sequences, so each pair doubles
+  as a coarse mode-overhead comparison.
 
 Standalone usage::
 
@@ -36,10 +37,12 @@ The guard compares *rates*, not totals. Per-run fixed costs make the
 rate scale-sensitive, so CI guards at the same (default) scale the
 committed baseline was recorded at; the 30% tolerance absorbs
 machine-to-machine noise while still catching the order-of-magnitude
-regressions the optimization work targets. Every rate key the baseline
-entry carries is guarded; keys the baseline predates (schema 1 entries
-lack the metrics-mode and phase-split rates) are skipped, so the guard
-works against both old and new baselines.
+regressions the optimization work targets. The simulations are guarded
+on retired applications per second: the grid's work is fixed, while
+its event count falls whenever the simulator stops firing events it
+does not need, so an events/sec floor would read such a speed-up as a
+slowdown. Guarded keys the baseline entry predates are skipped, so the
+guard works against both old and new baselines.
 """
 
 from __future__ import annotations
@@ -66,11 +69,11 @@ DEFAULT_BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_core.json"
 GUARD_TOLERANCE = 0.30
 
 #: Rate keys --guard compares when the baseline entry carries them.
-#: ``sim_events_per_sec`` is present in every schema; the rest appear
-#: from schema 2 on.
+#: The simulations are held on work done (retired applications per
+#: second); their events/sec rates are recorded and printed only.
 GUARD_KEYS = (
-    "sim_events_per_sec",
-    "sim_metrics_events_per_sec",
+    "sim_apps_per_sec",
+    "sim_metrics_apps_per_sec",
     "engine_fire_events_per_sec",
 )
 
@@ -217,16 +220,17 @@ def _sequences(num_sequences: int, num_events: int) -> List:
 
 def sim_throughput(
     num_sequences: int, num_events: int, mode: str = "full"
-) -> Tuple[float, int, float]:
-    """Full-simulation throughput over every registry scheduler.
+) -> Tuple[int, int, float]:
+    """Full-simulation work over every registry scheduler.
 
-    Returns ``(events_per_sec, total_engine_events, wall_seconds)``.
+    Returns ``(retired_apps, total_engine_events, wall_seconds)``.
     The two run modes process identical event counts (pinned by
     ``tests/test_mode_equivalence.py``), so their rates compare the
     per-event trace cost directly.
     """
     sequences = _sequences(num_sequences, num_events)
     requests = [seq.to_requests() for seq in sequences]
+    total_apps = 0
     total_events = 0
     start = time.perf_counter()
     for name in ALL_SCHEDULERS:
@@ -235,27 +239,28 @@ def sim_throughput(
             for request in reqs:
                 hv.submit(request)
             hv.run()
+            total_apps += len(hv.retired)
             total_events += hv.engine.processed
     elapsed = time.perf_counter() - start
-    return total_events / elapsed, total_events, elapsed
+    return total_apps, total_events, elapsed
 
 
 def measure(num_sequences: int, num_events: int) -> Dict:
     """One full measurement: every rate plus the scale that produced it."""
     engine_rates = engine_storm()
     queue_stats = queue_scaling()
-    sim_rate, sim_events, sim_wall = sim_throughput(
+    sim_apps, sim_events, sim_wall = sim_throughput(
         num_sequences, num_events, mode="full"
     )
-    metrics_rate, metrics_events, metrics_wall = sim_throughput(
+    metrics_apps, metrics_events, metrics_wall = sim_throughput(
         num_sequences, num_events, mode="metrics"
     )
-    assert metrics_events == sim_events, (
-        f"mode drift: full processed {sim_events} events, "
-        f"metrics processed {metrics_events}"
+    assert (metrics_apps, metrics_events) == (sim_apps, sim_events), (
+        f"mode drift: full retired {sim_apps} apps in {sim_events} "
+        f"events, metrics retired {metrics_apps} in {metrics_events}"
     )
     return {
-        "schema": 2,
+        "schema": 3,
         **queue_stats,
         "scale": {
             "schedulers": len(ALL_SCHEDULERS),
@@ -265,8 +270,11 @@ def measure(num_sequences: int, num_events: int) -> Dict:
         },
         "cpu_count": os.cpu_count(),
         **engine_rates,
-        "sim_events_per_sec": round(sim_rate),
-        "sim_metrics_events_per_sec": round(metrics_rate),
+        "sim_apps_per_sec": round(sim_apps / sim_wall),
+        "sim_metrics_apps_per_sec": round(metrics_apps / metrics_wall),
+        "sim_events_per_sec": round(sim_events / sim_wall),
+        "sim_metrics_events_per_sec": round(metrics_events / metrics_wall),
+        "sim_apps": sim_apps,
         "sim_events": sim_events,
         "sim_wall_s": round(sim_wall, 3),
         "sim_metrics_wall_s": round(metrics_wall, 3),
@@ -287,15 +295,17 @@ def print_measurement(entry: Dict) -> None:
         f"engine fire:     {entry['engine_fire_events_per_sec']:>10,} "
         f"events/sec"
     )
-    print(
-        f"full sim:        {entry['sim_events_per_sec']:>10,} events/sec "
-        f"({entry['sim_events']:,} events in {entry['sim_wall_s']}s)"
-    )
-    print(
-        f"metrics sim:     {entry['sim_metrics_events_per_sec']:>10,} "
-        f"events/sec ({entry['sim_events']:,} events in "
-        f"{entry['sim_metrics_wall_s']}s)"
-    )
+    for label, apps_key, events_key, wall_key in (
+        ("full sim:   ", "sim_apps_per_sec", "sim_events_per_sec",
+         "sim_wall_s"),
+        ("metrics sim:", "sim_metrics_apps_per_sec",
+         "sim_metrics_events_per_sec", "sim_metrics_wall_s"),
+    ):
+        print(
+            f"{label}     {entry[apps_key]:>10,} apps/sec, "
+            f"{entry[events_key]:,} events/sec ({entry['sim_apps']:,} "
+            f"apps, {entry['sim_events']:,} events in {entry[wall_key]}s)"
+        )
     print(
         f"queue remove:    {entry['queue_remove_ns_large']:>10,.0f} ns/op "
         f"at {QUEUE_SCALING_SIZES[1]:,} apps "
@@ -365,7 +375,7 @@ def _guard(num_sequences: int, num_events: int, baseline_path: Path) -> int:
     for key in GUARD_KEYS:
         baseline = baseline_entry.get(key)
         if baseline is None:
-            # Schema-1 baselines predate this rate; nothing to hold.
+            # Baselines older than this rate have nothing to hold.
             print(f"guard: {key}: no baseline, skipped")
             continue
         hold(key, baseline, entry[key])
@@ -400,7 +410,7 @@ def _guard(num_sequences: int, num_events: int, baseline_path: Path) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Core bench: simulation events/sec + regression guard."
+        description="Core bench: simulation throughput + regression guard."
     )
     parser.add_argument("--sequences", type=int, default=3)
     parser.add_argument("--events", type=int, default=12)
@@ -418,8 +428,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--guard", action="store_true",
-        help="fail (exit 1) if any guarded rate (full sim, metrics sim, "
-             "engine fire) drops >30%% below the last BENCH_core.json entry",
+        help="fail (exit 1) if any guarded rate (full and metrics sim "
+             "apps/sec, engine fire events/sec) drops >30%% below the "
+             "last BENCH_core.json entry",
     )
     parser.add_argument(
         "--bench-out", default=str(DEFAULT_BENCH_PATH),

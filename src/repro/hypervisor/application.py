@@ -309,13 +309,6 @@ class AppRun:
                 return run.task_id
         return None
 
-    def configured_waiting_tasks(self) -> List[str]:
-        """Configured tasks not currently needed for bookkeeping helpers."""
-        return [
-            run.task_id for run in self.tasks.values()
-            if run.state == TaskRunState.CONFIGURED
-        ]
-
     def max_useful_slots(self) -> int:
         """Upper bound on slots this application can exploit right now.
 

@@ -8,13 +8,22 @@ tasks, retire finished applications and record response times.
 Execution model
 ---------------
 Every state change (arrival, reconfiguration completion, item completion,
-periodic tick) requests a *scheduler pass*. Passes at the same simulated
-instant coalesce. A pass first lets the policy act while the configuration
-port is idle — preempting slots and/or starting at most one
+slot fault or repair) requests a *scheduler pass*. Passes at the same
+simulated instant coalesce. A pass first lets the policy act while the
+configuration port is idle — preempting slots and/or starting at most one
 reconfiguration, because the device can only reconfigure one slot at a
 time — and then mechanically launches the next batch item on every
 configured task whose dependencies (bulk or pipelined, per the policy's
 flags) are satisfied.
+
+The periodic scheduling interval also requests a pass, but only when
+something reads the clock: a policy that implements
+:meth:`~repro.schedulers.base.SchedulerPolicy.notify_tick` (token
+accumulation), or an attached fault injector (recovery backoff),
+admission controller (pressure and shedding) or watchdog (starvation).
+A policy whose ``decide`` depends only on queue, board and policy state
+would re-examine an unchanged state on a tick, so without those readers
+the interval is never scheduled.
 """
 
 from __future__ import annotations
@@ -233,6 +242,14 @@ class Hypervisor:
         self.watchdog = watchdog
         if watchdog is not None:
             watchdog.attach(self)
+        #: True when something reads elapsed time between state changes
+        #: (see the module docstring); otherwise the interval never ticks.
+        self._ticks = (
+            type(scheduler).notify_tick is not SchedulerPolicy.notify_tick
+            or faults is not None
+            or admission is not None
+            or watchdog is not None
+        )
         #: Applications evicted by load shedding (never retired).
         self.shed: List[AppRun] = []
         #: Pass number at which the fault stall-breaker last detached
@@ -347,16 +364,11 @@ class Hypervisor:
     # ------------------------------------------------------------------
     # Periodic scheduling interval
     # ------------------------------------------------------------------
-    def _workload_active(self) -> bool:
+    def _ensure_tick(self) -> None:
         # Ticks only run while applications are pending; arrival handling
         # restarts the chain, so a long idle gap before a future arrival
         # costs no tick events.
-        return len(self.pending) > 0
-
-    def _ensure_tick(self) -> None:
-        # ``len(self.pending)`` inlined (vs _workload_active): this runs
-        # once per executed tick plus once per arrival.
-        if self._tick_scheduled or not len(self.pending):
+        if self._tick_scheduled or not self._ticks or not len(self.pending):
             return
         self._tick_scheduled = True
         self.engine.schedule_delay(

@@ -2,8 +2,8 @@
 
 The hypervisor invokes :meth:`SchedulerPolicy.decide` whenever the
 configuration port is idle and something changed (arrival, completion,
-reconfiguration done, periodic interval). The policy answers with at most
-one action:
+reconfiguration done, slot fault or repair, periodic interval). The
+policy answers with at most one action:
 
 * :class:`ConfigureAction` — load task ``task_id`` of application
   ``app_id`` into free slot ``slot_index`` (starts a partial
@@ -20,6 +20,14 @@ on the policy because the hypervisor enforces them mechanically:
   (inter-batch pipelining, Figure 2(c)) instead of bulk stage-by-stage;
 * ``prefetch`` — tasks may be configured before their predecessors finish,
   hiding reconfiguration latency behind computation (Figure 2(b)).
+
+Contract: ``decide`` must depend only on queue, board and policy state,
+never on elapsed time alone. Every change to that state already books a
+pass. Work that depends on elapsed time (PREMA and Nimblock token
+accumulation) belongs in :meth:`SchedulerPolicy.notify_tick`. The
+hypervisor runs the periodic interval only for policies that override
+``notify_tick``, or when a fault injector, admission controller or
+watchdog is attached, so a tick-free policy never sees an interval pass.
 """
 
 from __future__ import annotations
@@ -71,7 +79,14 @@ class SchedulerPolicy(ABC):
         """An application retired."""
 
     def notify_tick(self, ctx: "SchedulerContext") -> None:
-        """The periodic scheduling interval elapsed."""
+        """The periodic scheduling interval elapsed.
+
+        Override this for work that depends on elapsed time alone; the
+        hypervisor schedules the interval for a policy only if it does
+        (or a fault injector, admission controller or watchdog is
+        attached). ``decide`` itself must read only queue, board and
+        policy state.
+        """
 
     def token_gen(self) -> int:
         """Mutation counter of this policy's token accounting (0 if none).

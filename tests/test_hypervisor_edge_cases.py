@@ -6,6 +6,7 @@ from typing import Optional
 
 import pytest
 
+from repro.admission import AdmissionController
 from repro.errors import SchedulerError
 from repro.hypervisor.hypervisor import Hypervisor
 from repro.schedulers.base import (
@@ -15,7 +16,9 @@ from repro.schedulers.base import (
     SchedulerPolicy,
 )
 from repro.schedulers.registry import make_scheduler
+from repro.sim.trace_export import trace_to_dict
 from repro.taskgraph.builders import chain_graph
+from repro.workload.scenarios import SCENARIOS, scenario_sequence
 from tests.conftest import request, run_named, small_config
 
 
@@ -125,17 +128,52 @@ class TestBitstreamLoadModeling:
 
 class TestTickLifecycle:
     def test_ticks_stop_when_idle_and_resume(self):
-        graph = chain_graph("c", [50.0])
-        hv = Hypervisor(make_scheduler("fcfs"), config=small_config())
+        # Nimblock implements notify_tick, so its interval chain runs.
+        graph = chain_graph("c", [1_000.0])
+        hv = Hypervisor(make_scheduler("nimblock"), config=small_config())
         hv.submit(request(graph, arrival_ms=0.0))
         # A second burst long after the first workload drained.
         hv.submit(request(graph, arrival_ms=10_000.0))
         hv.run()
         assert hv.all_retired
-        # No tick events should fire during the idle gap: the engine's
+        # Each app runs alone, so only ticks raise its token: the chain
+        # ran for the first burst and restarted for the second...
+        for app in hv.apps.values():
+            assert app.token > app.priority
+        # ...but no tick fired during the idle gap: the engine's
         # processed-event count stays far below gap/interval.
         idle_ticks = 10_000.0 / hv.config.scheduling_interval_ms
         assert hv.engine.processed < idle_ticks
+
+    @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.name)
+    def test_interval_runs_only_for_clock_readers(self, scenario):
+        requests = scenario_sequence(scenario, 7, 10).to_requests()
+
+        def run(name, admission):
+            hv = Hypervisor(make_scheduler(name), admission=admission)
+            for req in requests:
+                hv.submit(req)
+            hv.run()
+            dump = (
+                trace_to_dict(hv.trace, label=name),
+                [r.response_ms for r in hv.results()],
+            )
+            return dump, hv.engine.processed, hv.scheduler_passes
+
+        for name in ("baseline", "fcfs", "rr", "edf", "dml_static",
+                     "prema", "nimblock"):
+            bare, bare_events, bare_passes = run(name, None)
+            # Unbounded admission is inert but keeps the interval running.
+            ticked, ticked_events, ticked_passes = run(
+                name, AdmissionController("unbounded")
+            )
+            assert bare == ticked, name
+            if name in ("prema", "nimblock"):  # notify_tick: always ticks
+                assert bare_events == ticked_events, name
+                assert bare_passes == ticked_passes, name
+            else:
+                assert bare_events < ticked_events, name
+                assert bare_passes < ticked_passes, name
 
     def test_interval_tick_drives_token_accumulation(self):
         graph = chain_graph("c", [1000.0])
