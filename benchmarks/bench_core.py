@@ -3,7 +3,8 @@
 Where ``bench_sweep`` times the experiment *harness* (cache, process
 fan-out), this bench isolates the simulation *core*: the event heap, the
 hypervisor decision passes and the trace recorder. The rates reported
-(schema 3 entries in BENCH_core.json; schema 3 adds the apps/sec rates):
+(schema 4 entries in BENCH_core.json; schema 3 added the apps/sec
+rates, schema 4 the fleet rate):
 
 * **engine schedule/sec** and **engine fire/sec** — an empty-callback
   timer storm through the raw array-native
@@ -16,15 +17,16 @@ hypervisor decision passes and the trace recorder. The rates reported
   registry scheduler over deterministic generated sequences), counting
   the applications retired and the events the engine actually
   processed. Both modes run the same sequences, so each pair doubles
-  as a coarse mode-overhead comparison.
+  as a coarse mode-overhead comparison;
+* **fleet apps/sec** — a fixed 16-board least-loaded cluster at the 1x
+  ext-overload rate in metrics mode, where boards drain between
+  arrivals and the replay cache serves most of them: the one guarded
+  rate that depends on replay hits being cheap.
 
 Standalone usage::
 
     # print all rates at the default scale
     python benchmarks/bench_core.py
-
-    # cProfile breakdown of the simulation hot path
-    python benchmarks/bench_core.py --profile
 
     # append a trajectory entry to BENCH_core.json (repo root)
     python benchmarks/bench_core.py --bench
@@ -42,17 +44,16 @@ on retired applications per second: the grid's work is fixed, while
 its event count falls whenever the simulator stops firing events it
 does not need, so an events/sec floor would read such a speed-up as a
 slowdown. Guarded keys the baseline entry predates are skipped, so the
-guard works against both old and new baselines.
+guard works against both old and new baselines. For a per-layer split
+of where the time goes, use ``perfbench/run.py --trace 1``.
 """
 
 from __future__ import annotations
 
 import argparse
-import cProfile
 import datetime
 import json
 import os
-import pstats
 import sys
 import time
 from pathlib import Path
@@ -74,8 +75,16 @@ GUARD_TOLERANCE = 0.30
 GUARD_KEYS = (
     "sim_apps_per_sec",
     "sim_metrics_apps_per_sec",
+    "fleet_apps_per_sec",
     "engine_fire_events_per_sec",
 )
+
+#: Scale of the fleet rate: ``perfbench``'s ``fleet_lowrate`` at half
+#: its arrivals. Fixed (``--fast`` does not shrink it), so every entry
+#: times the same work.
+FLEET_BOARDS = 16
+FLEET_ARRIVALS = 2000
+FLEET_SEED = 1
 
 #: Scale of the service-tier guard proxy: a metrics-mode service run
 #: small enough for CI but long enough to reach replay steady state.
@@ -245,6 +254,32 @@ def sim_throughput(
     return total_apps, total_events, elapsed
 
 
+def fleet_throughput() -> Tuple[int, float]:
+    """``(retired_apps, wall_seconds)`` of the fixed low-rate fleet run.
+
+    Placement, every board's simulation and the report merge are timed
+    together, as one ``Cluster.run`` in one process.
+    """
+    from repro.cluster import Cluster, fleet_profiles
+    from repro.experiments.ext_overload import (
+        OVERLOAD_WORKLOAD,
+        study_sequence,
+    )
+
+    sequence = study_sequence(
+        OVERLOAD_WORKLOAD, FLEET_SEED, FLEET_ARRIVALS, 1.0
+    )
+    start = time.perf_counter()
+    cluster = Cluster(
+        fleet_profiles(FLEET_BOARDS), placement="least_loaded",
+        scheduler="nimblock", seed=FLEET_SEED,
+    )
+    cluster.submit_sequence(sequence)
+    report = cluster.run(jobs=1, mode="metrics")
+    elapsed = time.perf_counter() - start
+    return report.retired, elapsed
+
+
 def measure(num_sequences: int, num_events: int) -> Dict:
     """One full measurement: every rate plus the scale that produced it."""
     engine_rates = engine_storm()
@@ -259,14 +294,17 @@ def measure(num_sequences: int, num_events: int) -> Dict:
         f"mode drift: full retired {sim_apps} apps in {sim_events} "
         f"events, metrics retired {metrics_apps} in {metrics_events}"
     )
+    fleet_apps, fleet_wall = fleet_throughput()
     return {
-        "schema": 3,
+        "schema": 4,
         **queue_stats,
         "scale": {
             "schedulers": len(ALL_SCHEDULERS),
             "sequences": num_sequences,
             "events": num_events,
             "engine_storm_events": ENGINE_STORM_EVENTS,
+            "fleet_boards": FLEET_BOARDS,
+            "fleet_arrivals": FLEET_ARRIVALS,
         },
         "cpu_count": os.cpu_count(),
         **engine_rates,
@@ -278,6 +316,9 @@ def measure(num_sequences: int, num_events: int) -> Dict:
         "sim_events": sim_events,
         "sim_wall_s": round(sim_wall, 3),
         "sim_metrics_wall_s": round(metrics_wall, 3),
+        "fleet_apps_per_sec": round(fleet_apps / fleet_wall),
+        "fleet_apps": fleet_apps,
+        "fleet_wall_s": round(fleet_wall, 3),
     }
 
 
@@ -307,6 +348,11 @@ def print_measurement(entry: Dict) -> None:
             f"apps, {entry['sim_events']:,} events in {entry[wall_key]}s)"
         )
     print(
+        f"fleet (metrics): {entry['fleet_apps_per_sec']:>10,} apps/sec "
+        f"({entry['fleet_apps']:,} apps on {scale['fleet_boards']} boards "
+        f"in {entry['fleet_wall_s']}s)"
+    )
+    print(
         f"queue remove:    {entry['queue_remove_ns_large']:>10,.0f} ns/op "
         f"at {QUEUE_SCALING_SIZES[1]:,} apps "
         f"({entry['queue_remove_scaling']}x vs {QUEUE_SCALING_SIZES[0]:,}; "
@@ -315,18 +361,6 @@ def print_measurement(entry: Dict) -> None:
 
 
 # -- standalone modes -------------------------------------------------------
-def _profile(num_sequences: int, num_events: int) -> int:
-    """cProfile the full-simulation path and print the hot functions."""
-    profiler = cProfile.Profile()
-    profiler.enable()
-    sim_throughput(num_sequences, num_events)
-    profiler.disable()
-    stats = pstats.Stats(profiler)
-    print("top 25 by internal time (simulation core):")
-    stats.sort_stats("tottime").print_stats(25)
-    return 0
-
-
 def _bench(num_sequences: int, num_events: int, out: Path) -> int:
     entry = measure(num_sequences, num_events)
     print_measurement(entry)
@@ -419,18 +453,14 @@ def main(argv=None) -> int:
         help="reduced scale (2 sequences x 8 events) for CI",
     )
     parser.add_argument(
-        "--profile", action="store_true",
-        help="cProfile the simulation hot path and print the breakdown",
-    )
-    parser.add_argument(
         "--bench", action="store_true",
         help="measure and append a trajectory entry to BENCH_core.json",
     )
     parser.add_argument(
         "--guard", action="store_true",
         help="fail (exit 1) if any guarded rate (full and metrics sim "
-             "apps/sec, engine fire events/sec) drops >30%% below the "
-             "last BENCH_core.json entry",
+             "apps/sec, fleet apps/sec, engine fire events/sec) drops "
+             ">30%% below the last BENCH_core.json entry",
     )
     parser.add_argument(
         "--bench-out", default=str(DEFAULT_BENCH_PATH),
@@ -443,8 +473,6 @@ def main(argv=None) -> int:
     else:
         num_sequences, num_events = args.sequences, args.events
 
-    if args.profile:
-        return _profile(num_sequences, num_events)
     if args.bench:
         return _bench(num_sequences, num_events, Path(args.bench_out))
     if args.guard:

@@ -26,6 +26,7 @@ single-board-equals-bare-hypervisor tests compare.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
@@ -141,7 +142,7 @@ def _fault_payload(stats) -> dict:
     }
 
 
-def simulate_board(task: BoardTask) -> dict:
+def simulate_board(task: BoardTask, worlds: Optional[dict] = None) -> dict:
     """Worker: one board's full simulation reduced to its merge payload.
 
     Top-level (picklable) so :func:`repro.experiments.parallel.fanout`
@@ -149,6 +150,9 @@ def simulate_board(task: BoardTask) -> dict:
     associatively mergeable state: integer counters, float sums the
     simulation computed deterministically, a quantile-sketch dump, and
     the trace digest.
+
+    ``worlds`` (optional, filled in place) maps a board world to the
+    replay segment map its boards share; see :func:`board_cells`.
     """
     (board_index, profile, scheduler_name, base_config, specs,
      fault_config, admission_policy, seed, mode, replay, autotune) = task
@@ -156,7 +160,7 @@ def simulate_board(task: BoardTask) -> dict:
         return _empty_payload(board_index, profile, mode)
     payload, hypervisor, controller = _board_run(
         board_index, profile, scheduler_name, base_config, specs,
-        fault_config, admission_policy, seed, mode, replay,
+        fault_config, admission_policy, seed, mode, replay, worlds=worlds,
     )
     if autotune is None:
         return payload
@@ -191,6 +195,7 @@ def _board_run(
     mode: str,
     replay: bool,
     watchdog_config="auto",
+    worlds: Optional[dict] = None,
 ) -> tuple:
     """One board simulation; returns (payload, hypervisor, controller).
 
@@ -200,7 +205,7 @@ def _board_run(
     pairing — a default watchdog iff admission is on; None or an
     explicit :class:`~repro.admission.watchdog.WatchdogConfig` override
     it for patched re-runs, which must run exactly the configuration the
-    verifier scored.
+    verifier scored. ``worlds`` is :func:`simulate_board`'s.
     """
     from repro.admission import AdmissionController, Watchdog
     from repro.faults.injector import FaultInjector
@@ -233,6 +238,15 @@ def _board_run(
         # them), so chaos boards stay live automatically. The closed
         # pre-submitted event list makes the engine horizon an exact
         # next-arrival bound, so no arrival hook is needed.
+        segments = None
+        if worlds is not None and controller is None:
+            # Everything a recording reads off a board without
+            # admission or watchdog. Boards with them keep their own
+            # map: their admission mirrors are seeded per board.
+            segments = worlds.setdefault((
+                hypervisor.config, scheduler_name,
+                hypervisor.buffers._capacity, hypervisor.item_buffer_bytes,
+            ), {})
         hypervisor._replay = ReplayCache(
             hypervisor,
             scheduler_factory=lambda: make_scheduler(scheduler_name),
@@ -244,6 +258,7 @@ def _board_run(
                 (lambda: Watchdog(watchdog.config))
                 if watchdog is not None else None
             ),
+            segments=segments,
         )
     for spec in specs:
         hypervisor.submit(spec.to_request())
@@ -306,7 +321,16 @@ def _board_run(
 def board_cells(
     tasks: Sequence[BoardTask], jobs: Optional[int] = None
 ) -> List[dict]:
-    """Fan board simulations out; payloads in board-task order."""
+    """Fan board simulations out; payloads in board-task order.
+
+    Boards of one world (same induced config and scheduler, no
+    admission) share their replay segments for this call only, so each
+    request shape is recorded once per world per run. Each worker chunk
+    unpickles its own empty copy of the map, which changes how often a
+    shape is recorded, never a payload.
+    """
     from repro.experiments import parallel
 
-    return parallel.fanout(simulate_board, tasks, jobs=jobs)
+    return parallel.fanout(
+        functools.partial(simulate_board, worlds={}), tasks, jobs=jobs
+    )

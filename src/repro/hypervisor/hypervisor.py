@@ -324,6 +324,16 @@ class Hypervisor:
             # counters, credited engine events, deferred retirement);
             # the live cascade below would duplicate it.
             return
+        self._arrive(now, app_id, request)
+        self._ensure_tick()
+        self._request_pass()
+
+    def _arrive(self, now: float, app_id: int, request: AppRequest) -> AppRun:
+        """The arrival prelude: register, estimate, queue and announce.
+
+        Shared by the live path and a replayed segment, which then
+        supplies everything after the announcement.
+        """
         self._register_bitstreams(request)
         error = self.config.hls_estimation_error
         graph = request.graph
@@ -358,8 +368,7 @@ class Hypervisor:
         self.pending.add(app)
         self.trace.record(now, TraceKind.APP_ARRIVED, app_id=app_id)
         self.scheduler.notify_arrival(self._ctx, app)
-        self._ensure_tick()
-        self._request_pass()
+        return app
 
     # ------------------------------------------------------------------
     # Periodic scheduling interval

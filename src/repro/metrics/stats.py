@@ -4,20 +4,22 @@ The paper reports point estimates; a careful reproduction should state
 how tight they are. ``bootstrap_ci`` resamples per-event values with
 replacement (seeded, numpy-backed) and returns a percentile confidence
 interval for any statistic of the sample.
+
+numpy is optional for the package (``dependencies = []``): it is
+imported only when a confidence interval is computed, so importing
+``repro.metrics`` or any experiment never needs it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.errors import ExperimentError
 
 
 def bootstrap_ci(
     values: Sequence[float],
-    statistic: Callable[[np.ndarray], float] = np.mean,
+    statistic: Optional[Callable] = None,
     confidence: float = 0.95,
     resamples: int = 2000,
     seed: int = 0,
@@ -25,7 +27,8 @@ def bootstrap_ci(
     """(point estimate, low, high) for ``statistic`` over ``values``.
 
     Percentile bootstrap: resample with replacement, evaluate the
-    statistic on each resample, take the (1-confidence)/2 tails.
+    statistic (a function of a numpy array; None means the mean) on
+    each resample, take the (1-confidence)/2 tails.
     """
     if not values:
         raise ExperimentError("cannot bootstrap an empty sample")
@@ -35,6 +38,10 @@ def bootstrap_ci(
         )
     if resamples < 10:
         raise ExperimentError(f"resamples must be >= 10, got {resamples}")
+    import numpy as np
+
+    if statistic is None:
+        statistic = np.mean
     data = np.asarray(values, dtype=float)
     rng = np.random.default_rng(seed)
     estimates = np.empty(resamples)
@@ -63,6 +70,8 @@ def reduction_ci(
         raise ExperimentError("paired samples must have equal length")
     if not baseline_responses:
         raise ExperimentError("cannot bootstrap an empty sample")
+    import numpy as np
+
     base = np.asarray(baseline_responses, dtype=float)
     other = np.asarray(other_responses, dtype=float)
     rng = np.random.default_rng(seed)

@@ -27,6 +27,13 @@ Recoveries are the closed ``slot-fault`` and ``dpr-retry`` intervals.
 open recoveries, which have no recovery time yet. Neither it nor
 ``aggregates`` mutates the fold, so a run can be snapshot more than once.
 
+A replayed segment (:mod:`repro.sim.replay`) reaches a metrics-mode
+fold as a :class:`FoldPlan`: :func:`compile_plan` pairs the segment's
+rows once, by event ordinal, through :meth:`TraceFold.feed`, and
+:meth:`TraceFold.apply_plan` adds each interval's duration at the
+segment's absolute fire times to the accumulators ``feed`` would have
+updated, in the same order.
+
 This module is dependency-free within the sim layer; the observe layer
 imports *from* it (``MS_BUCKETS`` lives here so a metrics-mode
 hypervisor never has to import the observe package).
@@ -71,6 +78,22 @@ class _HistStream:
         index = bisect_left(self.buckets, value)
         if index < len(self._bins):
             self._bins[index] += 1
+
+    def observe_spans(self, spans, times) -> List[float]:
+        """Observe ``times[end] - times[start]`` per ``(start, end)``, in
+        order (``observe`` per span); returns the durations."""
+        durations = [times[end] - times[start] for start, end in spans]
+        buckets = self.buckets
+        bins = self._bins
+        total = self.sum
+        for duration in durations:
+            total += duration
+            index = bisect_left(buckets, duration)
+            if index < len(bins):
+                bins[index] += 1
+        self.sum = total
+        self.count += len(durations)
+        return durations
 
     @property
     def bucket_counts(self) -> List[int]:
@@ -119,6 +142,25 @@ class Interval(NamedTuple):
     task_id: Optional[str]
     ok: bool
     detail: Optional[float]
+
+
+class FoldPlan(NamedTuple):
+    """A segment's whole effect on a fold and on a trace's counters.
+
+    Times are event ordinals of the segment; the spans of each kind are
+    ``(start, end)`` ordinal pairs in the order the fold closed them.
+    """
+
+    items: Tuple[Tuple[int, int], ...]
+    dprs: Tuple[Tuple[int, int], ...]
+    waits: Tuple[Tuple[int, int], ...]
+    #: Rows per kind, kinds in order of first appearance.
+    kind_counts: Tuple[Tuple[TraceKind, int], ...]
+    rows: int
+    #: Peak concurrently open items, counted from the starting depth.
+    peak: int
+    first: int
+    last: int
 
 
 @dataclass
@@ -283,6 +325,33 @@ class TraceFold:
                             lost,
                         ))
 
+    def apply_plan(self, plan: FoldPlan, times) -> None:
+        """Fold a compiled segment whose event ordinals fire at ``times``.
+
+        Equal to feeding the segment's rows: every accumulator gets the
+        same float additions in the same order (plain ``+=`` loops, not
+        ``sum``, which compensates rounding from Python 3.12 on).
+        Durations, and with them the histogram buckets, depend on the
+        absolute start, so both are computed per application.
+        """
+        compute_busy = self._compute_busy
+        done = self.item_busy_done_ms
+        for duration in self._item.observe_spans(plan.items, times):
+            compute_busy += duration
+            done += duration
+        self._compute_busy = compute_busy
+        self.item_busy_done_ms = done
+        dpr_busy = self._dpr_busy
+        done = self.config_busy_done_ms
+        for duration in self._dpr.observe_spans(plan.dprs, times):
+            dpr_busy += duration
+            done += duration
+        self._dpr_busy = dpr_busy
+        self.config_busy_done_ms = done
+        self._wait.observe_spans(plan.waits, times)
+        if self._depth + plan.peak > self._peak:
+            self._peak = self._depth + plan.peak
+
     def open_intervals(self, horizon: float) -> List[Interval]:
         """The still-open intervals, closed at ``horizon`` with ``ok=False``.
 
@@ -337,6 +406,40 @@ def fold_rows(rows) -> TraceFold:
     for row in rows:
         feed(*row)
     return fold
+
+
+def compile_plan(rows) -> Optional[FoldPlan]:
+    """Pair a segment's rows, timed by event ordinal, into a plan.
+
+    None when the rows leave an interval open or close one abnormally
+    (a fault kill, a failed DPR, a recovery): such a segment has an
+    effect on the fold that the plan does not carry.
+    """
+    fold = TraceFold()
+    fold._closed = []
+    counts: Dict[TraceKind, int] = {}
+    for row in rows:
+        counts[row[1]] = counts.get(row[1], 0) + 1
+        fold.feed(*row)
+    if (
+        not counts or fold._depth or fold._open_config_faults
+        or fold.open_intervals(0)
+    ):
+        return None
+    items: List[Tuple[int, int]] = []
+    dprs: List[Tuple[int, int]] = []
+    waits: List[Tuple[int, int]] = []
+    groups = {ITEM: items, DPR: dprs, PREEMPTED: waits, EVICTED: waits}
+    for interval in fold._closed:
+        group = groups.get(interval.kind)
+        if group is None or not interval.ok:
+            return None
+        group.append((interval.start_ms, interval.end_ms))
+    return FoldPlan(
+        items=tuple(items), dprs=tuple(dprs), waits=tuple(waits),
+        kind_counts=tuple(counts.items()), rows=len(rows),
+        peak=fold._peak, first=rows[0][0], last=rows[-1][0],
+    )
 
 
 def trace_intervals(

@@ -20,12 +20,16 @@ as one batched operation:
 * the arrival prelude runs live (bitstream registration, latency
   estimate, :class:`~repro.hypervisor.application.AppRun` construction,
   pending-queue insert, ``APP_ARRIVED`` trace row, scheduler arrival
-  notification) — exactly the code the live path runs;
-* all interior trace rows are appended in bulk
-  (:meth:`~repro.sim.trace.Trace.record_many`) with absolute times
+  notification) — the hypervisor's own ``_arrive``, as on the live path;
+* the interior trace rows reach the trace in one call
+  (:meth:`~repro.sim.trace.Trace.record_segment`) with absolute times
   reconstructed through the recorded parent/delay chains — the same
   float additions (``parent_fire_time + delay``) the live engine would
-  perform, so every timestamp is **bit-identical** to live execution;
+  perform, so every timestamp is **bit-identical** to live execution.
+  A full-mode trace appends the rows in bulk; a metrics-mode trace
+  builds no rows at all and folds the segment's
+  :class:`~repro.sim.fold.FoldPlan`, its intervals paired once at
+  record time;
 * engine event counts, scheduler passes, reconfiguration-port counters
   and buffer-manager counters are credited in bulk with the same
   float-addition order the live run uses;
@@ -50,6 +54,12 @@ event or fails to retire exactly once marks the shape *non-replayable*
 (negative cache) and every future arrival of that shape takes the live
 path. Fallback is always the live simulation — replay never guesses.
 
+A segment depends only on the request shape and on the board world it
+was recorded in (config, buffer sizes, scheduler, admission/watchdog
+mirrors), so a cache may share its shape -> segment map with caches of
+the same world. The cluster does so for the boards of one run
+(:func:`~repro.cluster.shard.board_cells`); no map outlives its run.
+
 Correctness contract: a run with replay enabled is **byte-identical**
 (trace rows, report payloads, window aggregates, engine event totals)
 to the same run with replay disabled. ``tests/test_replay.py`` pins
@@ -60,9 +70,9 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.apps.hls import application_latency_estimate_ms
-from repro.hypervisor.application import AppRequest, AppRun
+from repro.hypervisor.application import AppRequest
 from repro.sim.engine import SimulationEngine
+from repro.sim.fold import FoldPlan, compile_plan
 from repro.sim.trace import Trace, TraceKind
 
 #: Trace kinds whose presence in a recording proves the segment is not a
@@ -181,7 +191,7 @@ class Segment:
         "parents", "delays", "records", "retire_ordinal", "end_ordinal",
         "end_priority", "credit_ordinals", "event_count", "passes",
         "reconfig_durations", "buffer_publishes", "peak_bytes",
-        "started_ordinal", "last_item_ordinal", "task_finals",
+        "started_ordinal", "last_item_ordinal", "task_finals", "plan",
     )
 
     def __init__(
@@ -233,6 +243,25 @@ class Segment:
         #: state, slot_index, was_detached, relocated_from,
         #: producer_slots).
         self.task_finals = task_finals
+        #: The interior rows paired once, timed by event ordinal: what a
+        #: metrics-mode trace folds on a hit instead of the rows. None
+        #: when a plan cannot carry their effect (see ``compile_plan``).
+        self.plan: Optional[FoldPlan] = compile_plan(
+            self.rows(range(len(parents)), 0)
+        )
+
+    def rows(self, times, app_id: int) -> List[tuple]:
+        """The interior trace rows of ``app_id``, events firing at
+        ``times``."""
+        return [
+            (
+                times[ordinal], kind,
+                app_id if has_app else None,
+                task_id, slot, detail,
+            )
+            for ordinal, kind, has_app, task_id, slot, detail
+            in self.records
+        ]
 
     def absolute_times(self, start: float) -> List[float]:
         """Fire time per ordinal for a segment starting at ``start``.
@@ -250,7 +279,7 @@ class Segment:
 
 
 class ReplayCache:
-    """Memoized per-request-shape execution segments for one hypervisor.
+    """Memoized per-request-shape execution segments for a hypervisor.
 
     Attach with ``hypervisor._replay = ReplayCache(hypervisor, ...)``;
     the hypervisor consults :meth:`try_replay` on each admitted arrival
@@ -271,6 +300,15 @@ class ReplayCache:
     ``on_credit`` (optional) receives the absolute fire times of every
     bulk-credited engine event, in fire order — the service loop uses
     it to attribute events to metric windows exactly.
+
+    ``segments`` (optional) is the shape -> segment map to read and
+    fill; by default the cache keeps its own. A segment is a
+    deterministic function of the shape and of everything
+    :meth:`_record` reads off the board — the ``SystemConfig``, buffer
+    sizes, scheduler and admission/watchdog mirrors — so caches of
+    boards that agree on all of those may share one map, and each shape
+    is recorded once for all of them. The cluster shares one map per
+    such board world for the length of one run.
     """
 
     def __init__(
@@ -282,6 +320,7 @@ class ReplayCache:
         watchdog_factory: Optional[Callable[[], object]] = None,
         next_arrival_ms: Optional[Callable[[], Optional[float]]] = None,
         on_credit: Optional[Callable[[List[float]], None]] = None,
+        segments: Optional[Dict[tuple, tuple]] = None,
     ) -> None:
         self._hv = hypervisor
         self._scheduler_factory = scheduler_factory
@@ -292,7 +331,9 @@ class ReplayCache:
         #: (graph id, batch, priority) -> (graph ref, Segment | None).
         #: The strong graph reference keeps the id stable; None marks a
         #: shape proven non-replayable (negative cache).
-        self._segments: Dict[tuple, tuple] = {}
+        self._segments: Dict[tuple, tuple] = (
+            {} if segments is None else segments
+        )
         self.hits = 0
         self.misses = 0
         self.recordings = 0
@@ -477,7 +518,7 @@ class ReplayCache:
             or engine.priorities[retire_ordinal] != _RETIRE_PRIORITY
         ):
             return None
-        return Segment(
+        segment = Segment(
             parents=tuple(engine.parents),
             delays=tuple(engine.delays),
             records=tuple(rows[1:-1]),
@@ -506,6 +547,7 @@ class ReplayCache:
                 for task_id, run in scratch.retired[0].tasks.items()
             ),
         )
+        return segment if segment.plan is not None else None
 
     # ------------------------------------------------------------------
     # Apply
@@ -515,24 +557,8 @@ class ReplayCache:
         segment: Segment, times: List[float],
     ) -> None:
         hv = self._hv
-        # -- live arrival prelude (mirrors Hypervisor._on_arrival) ------
-        hv._register_bitstreams(request)
-        graph = request.graph
-        key = (id(graph), request.batch_size)
-        hit = hv._estimate_cache.get(key)
-        if hit is not None and hit[0] is graph:
-            estimate = hit[1]
-        else:
-            estimate = application_latency_estimate_ms(
-                graph, request.batch_size, hv.config.reconfig_ms,
-                estimation_error=0.0,
-            )
-            hv._estimate_cache[key] = (graph, estimate)
-        app = AppRun(app_id, request, estimate, None)
-        hv.apps[app_id] = app
-        hv.pending.add(app)
-        hv.trace.record(now, TraceKind.APP_ARRIVED, app_id=app_id)
-        hv.scheduler.notify_arrival(hv._ctx, app)
+        # -- live arrival prelude (the live path's own code) ------------
+        app = hv._arrive(now, app_id, request)
 
         # -- memoized final state ---------------------------------------
         # Everything the segment's events would have written onto the
@@ -561,15 +587,7 @@ class ReplayCache:
             run.producer_slots = list(producers)
 
         # -- bulk trace application -------------------------------------
-        hv.trace.record_many([
-            (
-                times[ordinal], kind,
-                app_id if has_app else None,
-                task_id, slot, detail,
-            )
-            for ordinal, kind, has_app, task_id, slot, detail
-            in segment.records
-        ])
+        hv.trace.record_segment(segment, times, app_id)
 
         # -- bulk counter credits (live addition order preserved) -------
         hv.scheduler_passes += segment.passes

@@ -144,6 +144,12 @@ class Trace:
         if self._cache is not None:
             self._cache.extend(TraceEvent(*row) for row in rows)
 
+    def record_segment(self, segment, times, app_id: int) -> None:
+        """Record a replayed segment's interior rows (see
+        :mod:`repro.sim.replay`) for ``app_id``, its events firing at
+        ``times``."""
+        self.record_many(segment.rows(times, app_id))
+
     @property
     def events(self) -> List[TraceEvent]:
         """All events in record order (materialised lazily, then cached)."""
@@ -286,6 +292,23 @@ class MetricsTrace(Trace):
         record = self.record
         for time, kind, app_id, task_id, slot, detail in rows:
             record(time, kind, app_id, task_id, slot, detail)
+
+    def record_segment(self, segment, times, app_id: int) -> None:
+        """Fold a replayed segment from its compiled plan (no rows built).
+
+        The plan's counts land exactly where :meth:`record` per row would
+        put them; ``_total_by_kind`` is updated in place because the
+        watchdog holds a reference to it.
+        """
+        plan = segment.plan
+        self.fold.apply_plan(plan, times)
+        self._total += plan.rows
+        by_kind = self._total_by_kind
+        for kind, count in plan.kind_counts:
+            by_kind[kind] = by_kind.get(kind, 0) + count
+        if self._first_ms is None:
+            self._first_ms = times[plan.first]
+        self._last_ms = times[plan.last]
 
     def _rows_unavailable(self, what: str) -> "ExperimentError":
         from repro.errors import ExperimentError

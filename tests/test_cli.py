@@ -75,6 +75,37 @@ class TestVersionAndExitCodes:
         assert "chaos:" in capsys.readouterr().err
 
 
+class TestOptionalDependencies:
+    def test_runs_without_numpy_or_networkx(self):
+        """The package declares no dependencies: importing the CLI and the
+        experiments, and running one, must not need numpy or networkx."""
+        import os
+        from pathlib import Path
+
+        import repro
+
+        script = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "sys.modules['networkx'] = None\n"
+            "import repro, repro.cli, repro.experiments.report\n"
+            "import repro.experiments.fig5_response\n"
+            "sys.exit(repro.cli.main("
+            "['fig5', '--sequences', '1', '--events', '3']))\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH")))
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=env, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "nimblock" in result.stdout
+
+
 class TestObserveActions:
     def test_trace_chrome_is_valid_trace_event_json(self, capsys):
         import json

@@ -25,11 +25,15 @@ import json
 
 import pytest
 
+from repro.cluster import Cluster, fleet_profiles, simulate_board
+from repro.config import SystemConfig
+from repro.experiments.ext_overload import OVERLOAD_WORKLOAD, study_sequence
 from repro.experiments.ext_service import CAPACITY_SCHEDULERS
 from repro.hypervisor.hypervisor import Hypervisor
 from repro.schedulers.registry import make_scheduler
 from repro.service.loop import ServiceLoop
 from repro.sim.replay import ReplayCache
+from repro.sim.trace import MetricsTrace
 from repro.workload.arrivals import service_rate_process
 from repro.workload.events import EventSpec
 
@@ -250,3 +254,135 @@ class TestClusterEquivalence:
         assert json.dumps(on.to_dict(), sort_keys=True) == json.dumps(
             off.to_dict(), sort_keys=True
         )
+
+
+class TestFoldPlan:
+    """A metrics-mode hit folds the segment's compiled plan; the result
+    must equal feeding the segment's rows through ``record`` one by one."""
+
+    #: No dispatch overhead puts a DPR's nominal length on the 80 ms
+    #: bucket bound, so float rounding at some starts crosses it.
+    _CONFIG = SystemConfig(dispatch_overhead_ms=0.0)
+    _SHAPES = (("lenet", 3, 1), ("imgc", 2, 3), ("3dr", 4, 9), ("of", 1, 3))
+    #: Starts just under powers of two, where a fire time's rounding
+    #: changes with its exponent.
+    _STARTS = tuple(
+        2.0 ** power - delta
+        for power in range(1, 40, 2) for delta in (0.1, 1e-3)
+    )
+
+    @staticmethod
+    def _fold_state(trace: MetricsTrace, horizon: float) -> tuple:
+        aggregates = trace.fold.aggregates(horizon)
+        hists = tuple(
+            (hist.bucket_counts, hist.count, hist.sum)
+            for hist in (aggregates.dpr, aggregates.item, aggregates.wait,
+                         aggregates.recovery)
+        )
+        return (
+            hists, aggregates.dpr_busy_ms, aggregates.compute_busy_ms,
+            aggregates.peak_compute, trace.fold.item_busy_done_ms,
+            trace.fold.config_busy_done_ms, dict(trace._total_by_kind),
+            list(trace._total_by_kind), len(trace), trace.start_ms,
+            trace.end_ms,
+        )
+
+    @pytest.mark.parametrize("scheduler", CAPACITY_SCHEDULERS)
+    def test_plan_matches_row_path(self, scheduler):
+        hv = Hypervisor(
+            make_scheduler(scheduler), config=self._CONFIG, mode="metrics"
+        )
+        cache = ReplayCache(
+            hv, scheduler_factory=lambda: make_scheduler(scheduler)
+        )
+        segments = [
+            cache._record(EventSpec(
+                benchmark=benchmark, batch_size=batch, priority=priority,
+                arrival_ms=0.0,
+            ).to_request())
+            for benchmark, batch, priority in self._SHAPES
+        ]
+        assert all(segment is not None for segment in segments)
+        planned, rowed = MetricsTrace(), MetricsTrace()
+        dpr_durations = set()
+        app_id = 0
+        for segment in segments:
+            for start in self._STARTS:
+                times = segment.absolute_times(start)
+                planned.record_segment(segment, times, app_id)
+                for row in segment.rows(times, app_id):
+                    rowed.record(*row)
+                dpr_durations.update(
+                    times[end] - times[begin]
+                    for begin, end in segment.plan.dprs
+                )
+                app_id += 1
+                horizon = times[segment.end_ordinal]
+                assert (self._fold_state(planned, horizon)
+                        == self._fold_state(rowed, horizon))
+        # Durations vary with the start and straddle the bucket bound, so
+        # a plan that cached durations or bucket indexes would fail.
+        assert 80.0 in dpr_durations
+        assert any(duration > 80.0 for duration in dpr_durations)
+
+
+class TestSharedSegments:
+    """Boards of one world record each request shape once per run."""
+
+    @staticmethod
+    def _cluster(admission=None) -> Cluster:
+        cluster = Cluster(
+            fleet_profiles(6), placement="least_loaded", admission=admission,
+        )
+        cluster.submit_sequence(
+            study_sequence(OVERLOAD_WORKLOAD, 1, 300, 1.0)
+        )
+        return cluster
+
+    @staticmethod
+    def _recorded(monkeypatch) -> list:
+        """Patch ``_record`` to log (world, shape) per scratch recording."""
+        log = []
+        record = ReplayCache._record
+
+        def logged(self, request):
+            log.append((
+                self._hv.config, request.name, request.batch_size,
+                request.priority,
+            ))
+            return record(self, request)
+
+        monkeypatch.setattr(ReplayCache, "_record", logged)
+        return log
+
+    def _per_board(self, admission, monkeypatch) -> list:
+        """Recordings with one private map per board."""
+        log = self._recorded(monkeypatch)
+        for task in self._cluster(admission).board_tasks(mode="metrics"):
+            simulate_board(task)
+        monkeypatch.undo()
+        return log
+
+    def test_one_recording_per_world_and_shape(self, monkeypatch):
+        per_board = self._per_board(None, monkeypatch)
+        shared = self._recorded(monkeypatch)
+        report = self._cluster().run(jobs=1, mode="metrics")
+        monkeypatch.undo()
+        assert sorted(shared, key=repr) == sorted(set(per_board), key=repr)
+        assert len(shared) < len(per_board)
+        digest = report.snapshot_digest()
+        assert digest == self._cluster().run(
+            jobs=1, mode="metrics", replay=False
+        ).snapshot_digest()
+        assert digest == self._cluster().run(
+            jobs=2, mode="metrics"
+        ).snapshot_digest()
+
+    def test_boards_with_admission_record_alone(self, monkeypatch):
+        # Only "degrade" reaches the boards; "reject" and "shed" gate at
+        # the fleet boundary and leave the boards without admission.
+        per_board = self._per_board("degrade", monkeypatch)
+        shared = self._recorded(monkeypatch)
+        self._cluster("degrade").run(jobs=1, mode="metrics")
+        assert len(per_board) > len(set(per_board))
+        assert shared == per_board
