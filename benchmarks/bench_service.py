@@ -268,8 +268,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--mode", choices=("full", "metrics"), default="full",
-        help="run mode: full records trace rows, metrics streams "
-             "counters only (the fast path)",
+        help="run mode recorded in the entry; both values run the same "
+             "rowless service trace, and bench_core --guard picks its "
+             "service baseline by the entry's mode",
     )
     args = parser.parse_args(argv)
 

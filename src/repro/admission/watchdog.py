@@ -110,8 +110,8 @@ class Watchdog:
         #: Change signature of everything the per-app walk reads; while
         #: it holds still the walk is skipped (see _check_starvation).
         self._ns_sig: Optional[tuple] = None
-        #: Per-trace resolved counter source: the metrics/bounded traces
-        #: expose their per-kind totals dict, saving four method calls
+        #: Per-trace resolved counter source: a metrics trace exposes
+        #: its per-kind totals dict, saving four method calls
         #: per pass; the row-storing Trace falls back to ``count``.
         self._counts_trace: Optional[object] = None
         self._by_kind_counts: Optional[dict] = None

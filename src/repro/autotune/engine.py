@@ -78,7 +78,7 @@ class AutotuneConfig:
     max_applies: int = 2
     #: Trailing windows of arrivals the verifier replays.
     episode_windows: int = 6
-    #: Arrival-ring capacity (bounds memory like the trace ring).
+    #: Arrival-ring capacity (bounds the episode's memory).
     episode_capacity: int = 4096
     #: Fewest captured arrivals worth replaying.
     min_episode_arrivals: int = 8

@@ -96,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "run mode: 'full' records trace rows for debugging/export; "
             "'metrics' folds events straight into counters and sketches "
-            "— same numbers, fastest path (default: full)"
+            "— same numbers, fastest path (default: full); serve and "
+            "tune never store rows, in either mode"
         ),
     )
     parser.add_argument(

@@ -139,8 +139,9 @@ def serve(
     submission count. Returns the
     :class:`~repro.service.loop.ServiceReport` (streaming windowed
     metrics, lifetime counters, any quiescent-boundary snapshots).
-    ``mode="metrics"`` drops the debugging trace ring for the fastest
-    path; the report payload is byte-identical either way.
+    ``mode`` is validated and echoed in the report, but every service
+    run stores no trace rows, so the payload is byte-identical either
+    way.
 
     >>> from repro import serve
     >>> report = serve("nimblock", rate=1.0, submissions=50)

@@ -182,10 +182,9 @@ class Hypervisor:
     ) -> None:
         self.config = config or SystemConfig()
         #: Run mode ("full" records trace rows; "metrics" folds straight
-        #: into counters). Threaded into the engine so every layer reads
-        #: one source of truth.
+        #: into counters).
         self.mode = normalize_mode(mode)
-        self.engine = engine or SimulationEngine(mode=self.mode)
+        self.engine = engine or SimulationEngine()
         self.scheduler = scheduler
         self.device = FPGADevice(self.engine, self.config.num_slots)
         self.store = BitstreamStore(self.config.num_slots)

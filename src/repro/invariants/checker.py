@@ -27,7 +27,9 @@ After every scheduler pass (`pass_finished`) it verifies:
 
 A violation raises :class:`repro.errors.InvariantViolation` carrying the
 last ``window`` trace events, so the failing transition is diagnosable
-from the exception alone.
+from the exception alone. A rowless trace (``mode="metrics"`` and every
+service-tier run) has no events to attach; the violation still names
+the invariant, with ``events == ()``.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple
 from repro.errors import InvariantViolation, SchedulerError
 from repro.hypervisor.application import TaskRunState
 from repro.overlay.device import SlotPhase
+from repro.sim.trace import MetricsTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hypervisor.hypervisor import Hypervisor
@@ -103,7 +106,11 @@ class InvariantChecker:
         self._check_queue_consistency(hv, now)
 
     def _fail(self, hv: "Hypervisor", invariant: str, message: str) -> None:
-        events = hv.trace.events[-self.window:]
+        trace = hv.trace
+        events = (
+            () if isinstance(trace, MetricsTrace)
+            else trace.events[-self.window:]
+        )
         raise InvariantViolation(invariant, f"at t={hv.engine.now:.3f}ms: {message}", events)
 
     # ------------------------------------------------------------------

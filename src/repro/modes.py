@@ -1,10 +1,11 @@
 """The run-mode vocabulary shared by every layer of the stack.
 
 One ``mode=`` parameter travels uniformly through
-:class:`~repro.sim.engine.SimulationEngine`,
 :class:`~repro.hypervisor.hypervisor.Hypervisor`, the
 :func:`~repro.facade.simulate` / :func:`~repro.facade.serve` /
-:func:`~repro.facade.fleet` facades, ``run_experiment`` and the CLI:
+:func:`~repro.facade.fleet` facades, ``run_experiment`` and the CLI.
+The service tier (``serve``, ``tune``) validates and reports it but
+always runs metrics mode:
 
 ``"full"``
     Record every trace row (the default). Required for row-level
@@ -31,9 +32,6 @@ from repro.errors import ExperimentError
 
 #: The run modes accepted by every ``mode=`` parameter in the stack.
 MODES: Tuple[str, ...] = ("full", "metrics")
-
-MODE_FULL = "full"
-MODE_METRICS = "metrics"
 
 
 def normalize_mode(mode: str) -> str:

@@ -21,7 +21,6 @@ ext-service``; docs: ``docs/service.md``.
 """
 
 from repro.service.loop import (
-    DEFAULT_TRACE_CAPACITY,
     ServiceLoop,
     ServiceReport,
     format_report,
@@ -48,7 +47,6 @@ from repro.service.windows import (
 
 __all__ = [
     "DEFAULT_ALPHA",
-    "DEFAULT_TRACE_CAPACITY",
     "DEFAULT_WINDOW_MS",
     "QuantileSketch",
     "SNAPSHOT_FORMAT",

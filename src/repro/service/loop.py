@@ -18,10 +18,11 @@ the submission count:
   from the hypervisor's ``retired``/``apps`` books; shed apps are
   drained the same way at window boundaries (``all_retired`` stays
   consistent because both sides of its ledger shrink together);
-* **bounded trace** — the hypervisor's trace is replaced with a
-  :class:`~repro.sim.trace.BoundedTrace` ring so watchdog/admission
-  bookkeeping keeps exact lifetime counters while row storage stays
-  constant;
+* **rowless trace** — the hypervisor runs in metrics mode whatever
+  ``mode`` the loop was given, so its
+  :class:`~repro.sim.trace.MetricsTrace` keeps exact lifetime counters
+  and a live interval fold (what watchdog, admission and
+  :func:`~repro.observe.snapshot_run` read) and stores no rows;
 * **window closes** — a self-perpetuating engine event at each window
   boundary (priority −100, ahead of every same-instant arrival or
   completion) folds admission/engine deltas into the window that just
@@ -56,12 +57,8 @@ from repro.service.windows import (
     WindowedMetrics,
     WindowStats,
 )
-from repro.sim.trace import BoundedTrace
 from repro.workload.arrivals import ArrivalProcess
 from repro.workload.events import EventSpec
-
-#: Default retained-trace tail (rows), see :class:`BoundedTrace`.
-DEFAULT_TRACE_CAPACITY = 2048
 
 #: Engine priority of the window-close event: fires before every
 #: same-instant feeder (−6), arrival (−5) or completion (−2), so a close
@@ -103,9 +100,10 @@ class ServiceReport:
     windows: WindowedMetrics
     snapshots: List[dict] = field(default_factory=list)
     wall_s: float = 0.0
-    #: Run mode the loop executed under. Like ``wall_s`` it is excluded
-    #: from :meth:`to_dict` — the deterministic payload is identical
-    #: across modes (and across ``--jobs``), which is exactly what the
+    #: Run mode the loop was asked for. It selects nothing (every loop
+    #: runs a rowless trace) and, like ``wall_s``, is excluded from
+    #: :meth:`to_dict` — the deterministic payload is identical across
+    #: modes (and across ``--jobs``), which is exactly what the
     #: ``serve`` entry of the ``determinism`` CI job diffs.
     mode: str = "full"
     #: Macro-event replay cache counters. Excluded from :meth:`to_dict`
@@ -252,7 +250,9 @@ class ServiceLoop:
 
     A loop instance runs exactly once (:meth:`run`); resuming from a
     snapshot builds a *new* loop via :meth:`resume`. See the module
-    docstring for the O(1)-memory mechanics.
+    docstring for the O(1)-memory mechanics. ``mode`` is validated and
+    reported in :attr:`ServiceReport.mode`, but selects nothing: the
+    hypervisor always runs metrics mode (no trace rows).
     """
 
     def __init__(
@@ -269,7 +269,6 @@ class ServiceLoop:
         watchdog: Union[bool, Watchdog] = True,
         seed: int = 0,
         config: Optional[SystemConfig] = None,
-        trace_capacity: int = DEFAULT_TRACE_CAPACITY,
         snapshot_every_windows: Optional[int] = None,
         observer: Optional[object] = None,
         mode: str = "full",
@@ -321,15 +320,8 @@ class ServiceLoop:
             admission=self.admission,
             watchdog=watchdog,
             observer=observer,
-            mode=self.mode,
+            mode="metrics",
         )
-        if self.mode == "full":
-            # Swap the append-only trace for a bounded ring before
-            # anything records into it — lifetime counters stay exact,
-            # rows stay O(1) as a debugging tail.
-            self.hv.trace = BoundedTrace(trace_capacity)
-        # (metrics mode keeps the hypervisor's MetricsTrace: exact
-        # lifetime counters, zero rows — strictly cheaper than the ring.)
         self.hv.add_retire_listener(self._on_retire)
         self.engine = self.hv.engine
 

@@ -114,7 +114,7 @@ class _RecordingEngine(SimulationEngine):
     """
 
     def __init__(self) -> None:
-        super().__init__(mode="full")
+        super().__init__()
         self.parents: List[int] = []
         self.delays: List[float] = []
         self.priorities: List[int] = []

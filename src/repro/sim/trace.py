@@ -223,7 +223,8 @@ class Trace:
 
 
 class MetricsTrace(Trace):
-    """A rowless :class:`Trace` for ``mode="metrics"`` runs.
+    """A rowless :class:`Trace` for ``mode="metrics"`` runs and for every
+    service-tier run (:mod:`repro.service`).
 
     ``record`` skips columnar row appends entirely and folds each event
     directly into lifetime counters: the per-kind counts, first/last
@@ -322,11 +323,6 @@ class MetricsTrace(Trace):
     def __len__(self) -> int:
         return self._total
 
-    @property
-    def total_recorded(self) -> int:
-        """Events ever recorded (all folded, none stored)."""
-        return self._total
-
     def count(self, kind: TraceKind) -> int:
         """Lifetime number of events of one kind (O(1))."""
         return self._total_by_kind.get(kind, 0)
@@ -371,105 +367,12 @@ class MetricsTrace(Trace):
         raise self._rows_unavailable("first-event row query")
 
 
-class BoundedTrace(Trace):
-    """A :class:`Trace` retaining only the most recent ``capacity`` rows.
+class BoundedTrace(MetricsTrace):
+    """Compatibility name for :class:`MetricsTrace`; the benchmark tracer
+    (``perfbench/tracer.py``) is its only reader. The trace methods are
+    re-bound here so the tracer, which patches each class's own
+    ``record``/``record_many``, never wraps ``MetricsTrace``'s twice."""
 
-    The online service tier (:mod:`repro.service`) runs to millions of
-    submissions; an append-only trace would dominate memory long before
-    the run finished. ``BoundedTrace`` keeps the lifetime aggregates the
-    admission controller and watchdog consume **exact** — :meth:`count`,
-    :attr:`total_recorded`, :attr:`start_ms` and :attr:`end_ms` cover
-    every event ever recorded — while row storage is trimmed to a tail of
-    the most recent ``capacity`` events (a debugging window). Row-level
-    queries (``events``, ``of_kind``, ``first``, the busy-time
-    accumulators) therefore see only the retained tail; full-fidelity
-    post-processing belongs to closed runs on the unbounded parent.
-
-    Trimming drops the oldest half once ``2 * capacity`` rows accumulate,
-    so ``record`` stays amortized O(1) and memory is O(capacity)
-    regardless of run length.
-    """
-
-    __slots__ = ("capacity", "_total", "_total_by_kind", "_first_ms",
-                 "_last_ms")
-
-    def __init__(self, capacity: int = 4096) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        super().__init__()
-        self.capacity = capacity
-        self._total = 0
-        self._total_by_kind: Dict[TraceKind, int] = {}
-        self._first_ms: Optional[float] = None
-        self._last_ms: Optional[float] = None
-
-    def record(
-        self,
-        time: float,
-        kind: TraceKind,
-        app_id: Optional[int] = None,
-        task_id: Optional[str] = None,
-        slot: Optional[int] = None,
-        detail: Optional[float] = None,
-    ) -> None:
-        """Append one event, trimming the retained tail when it fills."""
-        self._total += 1
-        self._total_by_kind[kind] = self._total_by_kind.get(kind, 0) + 1
-        if self._first_ms is None:
-            self._first_ms = time
-        self._last_ms = time
-        super().record(time, kind, app_id, task_id, slot, detail)
-        if len(self._rows) >= 2 * self.capacity:
-            self._trim()
-
-    def record_many(self, rows) -> None:
-        """Append many events, trimming as each lands.
-
-        Per-row loop: trim points must fall exactly where a live
-        per-event run would place them, so the retained tail is
-        identical whether rows arrived singly or in bulk.
-        """
-        record = self.record
-        for time, kind, app_id, task_id, slot, detail in rows:
-            record(time, kind, app_id, task_id, slot, detail)
-
-    def _trim(self) -> None:
-        rows = self._rows[-self.capacity:]
-        self._rows = rows
-        by_kind: Dict[TraceKind, List[int]] = {}
-        for position, row in enumerate(rows):
-            index = by_kind.get(row[1])
-            if index is None:
-                index = by_kind[row[1]] = []
-            index.append(position)
-        self._by_kind = by_kind
-        self._cache = None
-
-    # -- lifetime aggregates (exact over every recorded event) ----------
-    @property
-    def total_recorded(self) -> int:
-        """Events ever recorded, including trimmed ones."""
-        return self._total
-
-    @property
-    def dropped(self) -> int:
-        """Events trimmed away (``total_recorded`` minus retained)."""
-        return self._total - len(self._rows)
-
-    def count(self, kind: TraceKind) -> int:
-        """Lifetime number of events of one kind (trim-proof, O(1))."""
-        return self._total_by_kind.get(kind, 0)
-
-    @property
-    def start_ms(self) -> float:
-        """Time of the first event ever recorded (O(1), trim-proof)."""
-        if self._first_ms is None:
-            raise IndexError("trace is empty")
-        return self._first_ms
-
-    @property
-    def end_ms(self) -> float:
-        """Time of the last event ever recorded (O(1), trim-proof)."""
-        if self._last_ms is None:
-            raise IndexError("trace is empty")
-        return self._last_ms
+    __slots__ = ()
+    record = MetricsTrace.record
+    record_many = MetricsTrace.record_many

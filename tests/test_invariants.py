@@ -123,28 +123,37 @@ class _CorruptingChecker(InvariantChecker):
         super().pass_finished(hypervisor, now, token)
 
 
-def _run_corrupted(corruption, scheduler="nimblock", **kwargs):
+def _run_corrupted(corruption, scheduler="nimblock", mode="full", **kwargs):
     checker = _CorruptingChecker(corruption, **kwargs)
-    hv = Hypervisor(make_scheduler(scheduler), observer=checker)
+    hv = Hypervisor(make_scheduler(scheduler), observer=checker, mode=mode)
     for request in small_sequence().to_requests():
         hv.submit(request)
     hv.run()
     return checker
 
 
+def _lower_first_token(hv):
+    pending = hv.pending.in_arrival_order()
+    if not pending:
+        return False
+    pending[0].token = pending[0].priority - 5.0
+    return True
+
+
 class TestViolations:
     def test_token_decrease_raises(self):
-        def corrupt(hv):
-            pending = hv.pending.in_arrival_order()
-            if not pending:
-                return False
-            pending[0].token = pending[0].priority - 5.0
-            return True
-
         with pytest.raises(InvariantViolation) as info:
-            _run_corrupted(corrupt)
+            _run_corrupted(_lower_first_token)
         assert info.value.invariant == "token-conservation"
         assert info.value.events  # carries the trace window
+
+    def test_rowless_trace_still_names_the_invariant(self):
+        # Metrics mode has no rows to attach, but the violation must
+        # still surface as itself rather than as a row-access error.
+        with pytest.raises(InvariantViolation) as info:
+            _run_corrupted(_lower_first_token, mode="metrics")
+        assert info.value.invariant == "token-conservation"
+        assert info.value.events == ()
 
     def test_slot_index_mismatch_raises(self):
         from repro.overlay.device import SlotPhase

@@ -5,7 +5,7 @@ Pins the subsystem's four load-bearing guarantees:
 * **determinism** — same seed, same knobs give byte-identical report
   payloads, serially and across ``--jobs N`` worker fan-out;
 * **O(1) memory** — after a run the hypervisor's books are empty, the
-  trace is a bounded ring, and only windowed aggregates remain;
+  trace stores no rows, and only windowed aggregates remain;
 * **accuracy** — the streaming sketch p99 tracks the exact percentile of
   the same responses within the documented relative error;
 * **checkpoint/resume** — a snapshot-plus-resume run reproduces an
@@ -31,7 +31,7 @@ from repro.service.snapshot import (
     validate_snapshot,
 )
 from repro.service.windows import DEFAULT_WINDOW_MS, WindowedMetrics
-from repro.sim.trace import BoundedTrace, Trace, TraceKind
+from repro.sim.trace import MetricsTrace, TraceKind
 from repro.workload.arrivals import (
     ARRIVAL_KINDS,
     DiurnalArrivals,
@@ -132,37 +132,6 @@ class TestArrivalProcesses:
         assert events[6].arrival_ms > events[5].arrival_ms
 
 
-class TestBoundedTrace:
-    def _fill(self, trace, n):
-        for i in range(n):
-            kind = TraceKind.ITEM_DONE if i % 3 else TraceKind.APP_ARRIVED
-            trace.record(float(i), kind, app_id=i)
-
-    def test_lifetime_aggregates_survive_trimming(self):
-        bounded, exact = BoundedTrace(capacity=16), Trace()
-        self._fill(bounded, 500)
-        self._fill(exact, 500)
-        assert bounded.total_recorded == len(exact) == 500
-        assert bounded.dropped == 500 - len(bounded)
-        assert len(bounded) < 2 * 16
-        for kind in (TraceKind.APP_ARRIVED, TraceKind.ITEM_DONE):
-            assert bounded.count(kind) == exact.count(kind)
-        assert bounded.start_ms == exact.start_ms == 0.0
-        assert bounded.end_ms == exact.end_ms == 499.0
-
-    def test_retained_tail_is_the_most_recent_rows(self):
-        trace = BoundedTrace(capacity=8)
-        self._fill(trace, 100)
-        times = [event.time for event in trace]
-        assert times == sorted(times)
-        assert times[-1] == 99.0
-        assert min(times) >= 100 - 2 * 8
-
-    def test_rejects_silly_capacity(self):
-        with pytest.raises(ValueError, match="capacity"):
-            BoundedTrace(capacity=0)
-
-
 class TestSloTarget:
     def test_both_dimensions_must_hold(self):
         target = SloTarget(p99_ms=1000.0, max_loss_frac=0.1)
@@ -236,7 +205,7 @@ class TestServiceLoop:
             != payload(run_loop(seed=4).run())
 
     def test_o1_state_after_run(self):
-        loop = run_loop(max_submissions=120, trace_capacity=64)
+        loop = run_loop(max_submissions=120)
         report = loop.run()
         assert report.completed > 0
         # Every per-app book is empty: state was discarded as it retired.
@@ -244,12 +213,28 @@ class TestServiceLoop:
         assert loop.hv.retired == []
         assert loop.hv.shed == []
         assert len(loop.hv.pending) == 0
-        # The trace ring stayed bounded while lifetime counters kept up.
+        # The trace stored no rows while lifetime counters kept up.
         trace = loop.hv.trace
-        assert isinstance(trace, BoundedTrace)
-        assert len(trace) < 2 * 64
+        assert isinstance(trace, MetricsTrace)
+        assert trace._rows == []
         assert trace.count(TraceKind.APP_RETIRED) == report.completed
-        assert trace.total_recorded > len(trace)
+
+    def test_snapshot_run_is_mode_invariant(self):
+        # Past the point where the old 4,096-row full-mode ring trimmed
+        # (this run records 8,862 events), the observe snapshot must
+        # still cover the whole run in both modes.
+        from repro.observe import snapshot_run
+
+        loops = {}
+        for mode in ("full", "metrics"):
+            loops[mode] = run_loop(max_submissions=300, mode=mode)
+            loops[mode].run()
+        full = snapshot_run(loops["full"].hv)
+        assert full == snapshot_run(loops["metrics"].hv)
+        assert len(loops["full"].hv.trace) == 8_862
+        histograms = full["histograms"]
+        assert histograms["nimblock_dpr_duration_ms"]["count"] == 1_006
+        assert histograms["nimblock_item_duration_ms"]["sum"] == 583_224.0
 
     def test_streaming_p99_tracks_exact_percentile(self):
         loop = run_loop(max_submissions=150)
