@@ -289,11 +289,6 @@ class AdmissionController:
             shed += 1
         return shed
 
-    @staticmethod
-    def _sheddable(app: "AppRun") -> bool:
-        """Only applications with zero progress may be shed."""
-        return app._slots_used == 0 and app.first_item_start_ms is None
-
     # ------------------------------------------------------------------
     # Degradation signals consumed by the scheduler / launch loop
     # ------------------------------------------------------------------

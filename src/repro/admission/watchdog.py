@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.errors import AdmissionError
-from repro.overlay.device import SlotPhase
 from repro.sim.trace import TraceKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -324,7 +323,3 @@ class Watchdog:
                     del app_progress[app_id]
                     self._app_last_kick.pop(app_id, None)
 
-
-def _slot_is_idle_resident(slot) -> bool:
-    """An occupied, non-busy slot (helper shared with the hypervisor)."""
-    return slot.phase == SlotPhase.OCCUPIED and not slot.busy

@@ -211,10 +211,6 @@ class Cluster:
         """Every placement made so far, in decision order."""
         return list(self._decisions)
 
-    @property
-    def placement_name(self) -> str:
-        return self._placement.name
-
     def board_load_ms(self, index: int) -> float:
         return self._board(index).load_ms
 

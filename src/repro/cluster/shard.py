@@ -232,34 +232,12 @@ def _board_run(
         admission=controller,
         watchdog=watchdog,
         mode=mode,
-    )
-    if replay:
-        # Replay is a no-op on fault-injected boards (the gate rejects
-        # them), so chaos boards stay live automatically. The closed
+        # Fault-injected boards never replay (the cache refuses them),
+        # so chaos boards stay live automatically. The closed
         # pre-submitted event list makes the engine horizon an exact
         # next-arrival bound, so no arrival hook is needed.
-        segments = None
-        if worlds is not None and controller is None:
-            # Everything a recording reads off a board without
-            # admission or watchdog. Boards with them keep their own
-            # map: their admission mirrors are seeded per board.
-            segments = worlds.setdefault((
-                hypervisor.config, scheduler_name,
-                hypervisor.buffers._capacity, hypervisor.item_buffer_bytes,
-            ), {})
-        hypervisor._replay = ReplayCache(
-            hypervisor,
-            scheduler_factory=lambda: make_scheduler(scheduler_name),
-            admission_factory=(
-                (lambda: AdmissionController(admission_policy, seed=seed))
-                if admission_policy is not None else None
-            ),
-            watchdog_factory=(
-                (lambda: Watchdog(watchdog.config))
-                if watchdog is not None else None
-            ),
-            segments=segments,
-        )
+        replay=ReplayCache(worlds=worlds) if replay else None,
+    )
     for spec in specs:
         hypervisor.submit(spec.to_request())
     hypervisor.run()
@@ -323,11 +301,13 @@ def board_cells(
 ) -> List[dict]:
     """Fan board simulations out; payloads in board-task order.
 
-    Boards of one world (same induced config and scheduler, no
-    admission) share their replay segments for this call only, so each
-    request shape is recorded once per world per run. Each worker chunk
-    unpickles its own empty copy of the map, which changes how often a
-    shape is recorded, never a payload.
+    Boards of one world (same induced config, scheduler, admission and
+    watchdog; see :func:`repro.sim.replay._world_key`) share their
+    replay segments for this call only, so each request shape is
+    recorded once per world per run. Boards with admission are seeded
+    per board, so each is a world of its own and records alone. Each
+    worker chunk unpickles its own empty copy of the map, which changes
+    how often a shape is recorded, never a payload.
     """
     from repro.experiments import parallel
 

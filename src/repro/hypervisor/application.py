@@ -155,10 +155,6 @@ class AppRun:
     # ------------------------------------------------------------------
     # Progress
     # ------------------------------------------------------------------
-    def task_complete(self, task_id: str) -> bool:
-        """True once a task has processed its whole batch."""
-        return self.tasks[task_id].items_done >= self.batch_size
-
     @property
     def is_complete(self) -> bool:
         """True once every task has processed every batch item."""
@@ -214,14 +210,6 @@ class AppRun:
     # ------------------------------------------------------------------
     # Readiness rules
     # ------------------------------------------------------------------
-    def preds_complete(self, task_id: str) -> bool:
-        """True if every predecessor has finished its entire batch."""
-        batch = self.batch_size
-        for run in self._pred_runs[task_id]:
-            if run.items_done < batch:
-                return False
-        return True
-
     def item_ready(self, task_id: str, pipelined: bool) -> bool:
         """Can the configured task ``task_id`` start its next batch item?
 

@@ -34,6 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.admission.controller import AdmissionController
     from repro.admission.watchdog import Watchdog
     from repro.faults.injector import FaultInjector
+    from repro.sim.replay import ReplayCache
 
 from repro.apps.hls import application_latency_estimate_ms, reports_for_benchmark
 from repro.config import SystemConfig
@@ -144,10 +145,6 @@ class SchedulerContext:
         slot = self._hv.device.slot(slot_index)
         return slot.phase == SlotPhase.OCCUPIED and not slot.busy
 
-    def healthy_slot_count(self) -> int:
-        """Slots not currently faulted or blacklisted."""
-        return len(self._hv.device.healthy_slots())
-
     def admission_slot_cap(self) -> Optional[int]:
         """Per-app slot cap while the degrade policy is overloaded.
 
@@ -179,6 +176,7 @@ class Hypervisor:
         admission: Optional["AdmissionController"] = None,
         watchdog: Optional["Watchdog"] = None,
         mode: str = "full",
+        replay: Optional["ReplayCache"] = None,
     ) -> None:
         self.config = config or SystemConfig()
         #: Run mode ("full" records trace rows; "metrics" folds straight
@@ -225,12 +223,10 @@ class Hypervisor:
         if faults is not None:
             faults.attach(self)
         # Observability hook (repro.observe.Instrumentation, or anything
-        # with the same three methods). None — the default — leaves every
+        # with the same two pass hooks). None — the default — leaves every
         # hook site as a single predicate; no observe code is imported or
         # executed, keeping the unobserved path at seed speed.
         self.observer = observer
-        if observer is not None:
-            self.engine.set_observer(observer)
         # Overload protection (repro.admission). Both default to None and
         # every hook site below is a single ``is not None`` predicate, so
         # the unprotected path is byte-identical to the pre-admission
@@ -265,10 +261,13 @@ class Hypervisor:
         # both when no estimation error is configured. Keyed by object
         # identity with a strong graph reference so ids cannot be reused.
         self._estimate_cache: Dict[tuple, tuple] = {}
-        #: Macro-event replay cache (repro.sim.replay), installed by the
-        #: service loop / cluster shards. None — the default — keeps the
-        #: arrival path byte-identical to the pre-replay simulator.
-        self._replay = None
+        #: Macro-event replay cache (repro.sim.replay). None — the
+        #: default — keeps the arrival path byte-identical to the
+        #: pre-replay simulator. Bound last: the cache mirrors every
+        #: other hook into its recording world.
+        self.replay = replay
+        if replay is not None:
+            replay.attach(self)
 
     def add_retire_listener(self, callback) -> None:
         """Register ``callback(app_run, now)`` to fire on each retirement.
@@ -317,7 +316,7 @@ class Hypervisor:
             # Rejected: the controller has either re-scheduled this
             # arrival with backoff or dropped the application for good.
             return
-        replay = self._replay
+        replay = self.replay
         if replay is not None and replay.try_replay(now, app_id, request):
             # The memoized segment was applied in bulk (trace rows,
             # counters, credited engine events, deferred retirement);

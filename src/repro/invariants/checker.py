@@ -68,7 +68,6 @@ class InvariantChecker:
         self.check_every = check_every
         #: Scheduler passes inspected (diagnostics; also the bench knob).
         self.passes_checked = 0
-        self.engine_events = 0
         self._pass_count = 0
         #: Previous per-app (slots_used, slots_allocated) snapshots.
         self._usage: Dict[int, Tuple[int, int]] = {}
@@ -90,10 +89,6 @@ class InvariantChecker:
         if self._pass_count % self.check_every:
             return
         self.check_now(hypervisor, now)
-
-    def on_engine_event(self, now: float) -> None:
-        """Hook: one engine event executed (kept for protocol parity)."""
-        self.engine_events += 1
 
     # ------------------------------------------------------------------
     def check_now(self, hv: "Hypervisor", now: float) -> None:

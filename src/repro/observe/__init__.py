@@ -8,8 +8,9 @@ makes a run *watchable* the way a production multi-tenant scheduler needs:
   fault outages);
 * :mod:`repro.observe.metrics` — counters / gauges / histograms with
   deterministic snapshots that merge associatively across workers;
-* :mod:`repro.observe.instrument` — the live hypervisor/engine hook
-  (zero cost when absent) plus post-run trace folding;
+* :mod:`repro.observe.instrument` — the live hypervisor pass hooks
+  (zero cost when absent; the engine has none) plus post-run trace
+  folding;
 * :mod:`repro.observe.exporters` — Chrome/Perfetto ``trace_event`` JSON,
   JSONL, Prometheus text;
 * :mod:`repro.observe.aggregate` — sweep-level metric collection that is

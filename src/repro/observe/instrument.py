@@ -3,11 +3,11 @@
 Two complementary pieces:
 
 * :class:`Instrumentation` — the observer object a
-  :class:`~repro.hypervisor.hypervisor.Hypervisor` (and its
-  :class:`~repro.sim.engine.SimulationEngine`) call into while the run is
-  live. The hooks are deliberately tiny — a token reading per scheduler
-  pass, an integer bump per engine event — and the hypervisor guards every
-  call site with ``if self.observer is not None``, so a run without an
+  :class:`~repro.hypervisor.hypervisor.Hypervisor` calls into while the
+  run is live: two pass hooks, ``pass_started`` and ``pass_finished``,
+  which take a token reading per scheduler pass. The engine has no hook;
+  its event count comes from ``engine.processed``. The hypervisor guards
+  every call site with ``if observer is not None``, so a run without an
   observer executes **zero** observability code (the overhead-guard bench
   and the lazy-import test pin this down).
 * :func:`observe_run` — folds a *finished* run's trace, fault counters and
@@ -62,7 +62,6 @@ class Instrumentation:
         self.profile = bool(profile)
         #: Wall-clock samples live apart from the deterministic registry.
         self.profile_registry = MetricsRegistry()
-        self.engine_events = 0
         self._tokens = self.registry.histogram(
             "nimblock_tokens_at_selection",
             "Sum of pending applications' scheduling tokens at each "
@@ -100,11 +99,6 @@ class Instrumentation:
         if started is not None:
             self._pass_latency.observe(time.perf_counter() - started)
 
-    # -- engine-facing hook ------------------------------------------------
-    def on_engine_event(self, now: float) -> None:
-        """Called by the simulation engine once per executed event."""
-        self.engine_events += 1
-
     # -- results -----------------------------------------------------------
     def finalize(self, hypervisor: "Hypervisor") -> dict:
         """Fold the finished run into the registry; returns a snapshot."""
@@ -134,6 +128,7 @@ def observe_run(
     trace = hypervisor.trace
     config = hypervisor.config
     stats = hypervisor.fault_stats
+    replay = hypervisor.replay
 
     def count(kind: TraceKind) -> int:
         return trace.count(kind)
@@ -215,10 +210,10 @@ def observe_run(
          count(TraceKind.WATCHDOG_KICK)),
         ("nimblock_replay_hits_total",
          "Arrivals satisfied by the macro-event replay cache",
-         getattr(getattr(hypervisor, "_replay", None), "hits", 0)),
+         0 if replay is None else replay.hits),
         ("nimblock_replay_misses_total",
          "Arrivals that fell through the replay cache to live simulation",
-         getattr(getattr(hypervisor, "_replay", None), "misses", 0)),
+         0 if replay is None else replay.misses),
     )
     # Detector raw inputs (repro.autotune): overload edge/duration
     # counters from the admission controller and the watchdog's split

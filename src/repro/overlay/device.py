@@ -341,10 +341,6 @@ class FPGADevice:
             ]
         return cache
 
-    def dead_slots(self) -> List[Slot]:
-        """Permanently failed (blacklisted) slots."""
-        return [slot for slot in self._slots if slot.health is SlotHealth.DEAD]
-
     def utilization(self) -> float:
         """Fraction of slots occupied or reconfiguring."""
         used = sum(1 for slot in self._slots if not slot.is_free)

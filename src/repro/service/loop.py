@@ -314,23 +314,13 @@ class ServiceLoop:
             watchdog = Watchdog()
         elif watchdog is False:
             watchdog = None
-        self.hv = Hypervisor(
-            scheduler=make_scheduler(scheduler),
-            config=config,
-            admission=self.admission,
-            watchdog=watchdog,
-            observer=observer,
-            mode="metrics",
-        )
-        self.hv.add_retire_listener(self._on_retire)
-        self.engine = self.hv.engine
 
         # -- macro-event replay (repro.sim.replay) ----------------------
         # Absolute fire times of bulk-credited engine events not yet
         # folded into a window; sorted (credits arrive in fire order and
         # each segment is pinned strictly before the next arrival).
         self._replay_event_times: List[float] = []
-        self._replay_cache = None
+        replay_cache = None
         if (
             replay
             # Snapshot runs count window boundaries and capture engine
@@ -338,9 +328,6 @@ class ServiceLoop:
             # trailing tick ahead of time, which could land in a
             # snapshot payload. Keep those runs on the live path.
             and snapshot_every_windows is None
-            # A caller-supplied Watchdog subclass cannot be mirrored
-            # into the recording world faithfully.
-            and (watchdog is None or type(watchdog) is Watchdog)
             # The autotuner's detector reads watchdog detection
             # counters, which the replay byte-identity contract does
             # not cover (the mirror world accumulates them); an armed
@@ -350,22 +337,21 @@ class ServiceLoop:
         ):
             from repro.sim.replay import ReplayCache
 
-            knobs = dict(admission_knobs or {})
-            watchdog_config = None if watchdog is None else watchdog.config
-            self._replay_cache = ReplayCache(
-                self.hv,
-                scheduler_factory=lambda: make_scheduler(scheduler),
-                admission_factory=lambda: AdmissionController(
-                    admission, seed=seed, **knobs
-                ),
-                watchdog_factory=(
-                    None if watchdog_config is None
-                    else lambda: Watchdog(watchdog_config)
-                ),
+            replay_cache = ReplayCache(
                 next_arrival_ms=self._replay_next_arrival,
                 on_credit=self._replay_event_times.extend,
             )
-            self.hv._replay = self._replay_cache
+        self.hv = Hypervisor(
+            scheduler=make_scheduler(scheduler),
+            config=config,
+            admission=self.admission,
+            watchdog=watchdog,
+            observer=observer,
+            mode="metrics",
+            replay=replay_cache,
+        )
+        self.hv.add_retire_listener(self._on_retire)
+        self.engine = self.hv.engine
 
         # -- closed-loop remediation (repro.autotune) -------------------
         # Imported only when armed: a plain service run never pays for
@@ -464,13 +450,13 @@ class ServiceLoop:
     @property
     def replay_hits(self) -> int:
         """Arrivals applied from the replay cache (0 when disabled)."""
-        cache = self._replay_cache
+        cache = self.hv.replay
         return 0 if cache is None else cache.hits
 
     @property
     def replay_misses(self) -> int:
         """Arrivals that took the live path past the replay gate."""
-        cache = self._replay_cache
+        cache = self.hv.replay
         return 0 if cache is None else cache.misses
 
     # ------------------------------------------------------------------

@@ -110,7 +110,7 @@ class SimulationEngine:
     [5.0]
     """
 
-    def __init__(self, observer: Optional[object] = None) -> None:
+    def __init__(self) -> None:
         self._now = 0.0
         # Entries are (time, priority, seq, callback, handle) tuples:
         # comparisons stop at the unique seq, never touching the
@@ -127,19 +127,6 @@ class SimulationEngine:
         # seq - processed - cancels, so neither schedule nor the hot
         # loop maintains a live counter per event.
         self._cancel_count = 0
-        # Observability hook (repro.observe). None costs one predicate per
-        # executed event; the engine never imports the observe package.
-        self._observer = observer
-
-    def set_observer(self, observer: Optional[object]) -> None:
-        """Install (or remove, with None) an observability hook.
-
-        The observer's ``on_engine_event(now)`` is called once per
-        executed event. Installing one never alters event ordering or
-        timing — observers are read-only bystanders. Must be installed
-        before ``run()``; the hot loop binds it once at entry.
-        """
-        self._observer = observer
 
     @property
     def now(self) -> float:
@@ -296,8 +283,6 @@ class SimulationEngine:
             if len(entry) == 5:
                 entry[4]._fired = True
             self._processed += 1
-            if self._observer is not None:
-                self._observer.on_engine_event(time)
             entry[3](time)
             return True
         return False
@@ -328,7 +313,6 @@ class SimulationEngine:
         run_list = self._run_list
         overflow = self._overflow
         cancelled = self._cancelled
-        observer = self._observer
         heappop = heapq.heappop
         while run_list or overflow:
             if run_list and not (overflow and overflow[0] < run_list[-1]):
@@ -342,8 +326,6 @@ class SimulationEngine:
             if len(entry) == 5:
                 entry[4]._fired = True
             self._processed += 1
-            if observer is not None:
-                observer.on_engine_event(entry[0])
             entry[3](entry[0])
 
     def _run_general(
@@ -386,8 +368,6 @@ class SimulationEngine:
             if len(entry) == 5:
                 entry[4]._fired = True
             self._processed += 1
-            if self._observer is not None:
-                self._observer.on_engine_event(time)
             entry[3](time)
             executed += 1
 

@@ -11,9 +11,8 @@ item-done / tick / pass events thousands of times.
 
 :class:`ReplayCache` breaks that per-event dispatch wall. On the first
 qualifying arrival of a request shape it *records* the execution once in
-a scratch hypervisor (same config, same scheduler construction, fresh
-admission/watchdog mirrors) built around a :class:`_RecordingEngine`
-that logs, for every scheduled event, its **parent event and relative
+a scratch hypervisor built around a :class:`_RecordingEngine` that
+logs, for every scheduled event, its **parent event and relative
 delay**. On later qualifying arrivals it *applies* the memoized segment
 as one batched operation:
 
@@ -41,24 +40,30 @@ as one batched operation:
   (pending depth 1, non-quiescent), so any window close that fires
   mid-segment observes live-identical state.
 
-Replay engages only when the context is provably reproducible. The
-gate requires an empty board (no pending apps, no in-flight items, idle
-reconfiguration port, all slots free and healthy), no scheduled tick or
-pass, no fault injector, no observer, no bitstream-load modeling, exact
-HLS estimates, a quiet watchdog (no stall streak, no progress entries),
-a non-overloaded admission controller, and a strictly later next
-arrival (so no foreign event interleaves with the segment's span). The
-recording itself is ground truth for anything the gate cannot see: a
-scratch run that sheds, rejects, overloads, stalls, faults, cancels an
-event or fails to retire exactly once marks the shape *non-replayable*
-(negative cache) and every future arrival of that shape takes the live
-path. Fallback is always the live simulation — replay never guesses.
+The scratch world mirrors the live board: its config and buffer sizes,
+a scheduler the registry builds under the live policy's name, and fresh
+copies of the live admission controller (policy and seed) and watchdog
+(config). :meth:`ReplayCache.attach` decides once whether the board can
+ever be mirrored (:func:`_mirrorable`: no faults or observer, exact
+types, exact estimates, free data movement); a board that cannot counts
+every arrival as a miss. Otherwise replay engages only when the context
+is provably reproducible. The gate requires an empty board (no pending
+apps, no in-flight items, idle reconfiguration port, all slots free and
+healthy), no scheduled tick or pass, a quiet watchdog (no stall streak,
+no progress entries), a non-overloaded admission controller, and a
+strictly later next arrival (so no foreign event interleaves with the
+segment's span). The recording itself is ground truth for anything the
+gate cannot see: a scratch run that sheds, rejects, overloads, stalls,
+faults, cancels an event or fails to retire exactly once marks the
+shape *non-replayable* (negative cache) and every future arrival of
+that shape takes the live path. Fallback is always the live simulation
+— replay never guesses.
 
 A segment depends only on the request shape and on the board world it
-was recorded in (config, buffer sizes, scheduler, admission/watchdog
-mirrors), so a cache may share its shape -> segment map with caches of
-the same world. The cluster does so for the boards of one run
-(:func:`~repro.cluster.shard.board_cells`); no map outlives its run.
+was recorded in (:func:`_world_key`), so caches of one world may share
+their shape -> segment map. The cluster does so for the boards of one
+run (:func:`~repro.cluster.shard.board_cells`); no map outlives its
+run.
 
 Correctness contract: a run with replay enabled is **byte-identical**
 (trace rows, report payloads, window aggregates, engine event totals)
@@ -70,6 +75,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.errors import SimulationError
 from repro.hypervisor.application import AppRequest
 from repro.sim.engine import SimulationEngine
 from repro.sim.fold import FoldPlan, compile_plan
@@ -278,18 +284,46 @@ class Segment:
         return times
 
 
+def _world_key(hv) -> tuple:
+    """Everything :meth:`ReplayCache._record` reads off the board."""
+    admission = hv.admission
+    watchdog = hv.watchdog
+    return (
+        hv.config, hv.scheduler.name, hv.buffers._capacity,
+        hv.item_buffer_bytes,
+        None if admission is None else (admission.policy, admission.seed),
+        None if watchdog is None else watchdog.config,
+    )
+
+
+def _mirrorable(hv) -> bool:
+    """True when a scratch world can reproduce the board exactly; every
+    condition is fixed once the hypervisor is built."""
+    from repro.admission.controller import AdmissionController
+    from repro.admission.watchdog import Watchdog
+    from repro.schedulers.registry import scheduler_factories
+
+    factory = scheduler_factories().get(hv.scheduler.name)
+    return (
+        factory is not None
+        and type(factory()) is type(hv.scheduler)
+        and (hv.admission is None
+             or type(hv.admission) is AdmissionController)
+        and (hv.watchdog is None or type(hv.watchdog) is Watchdog)
+        and hv.faults is None
+        and hv.observer is None
+        and not hv._model_bitstream_loads
+        and hv._zero_cost_interconnect
+        and hv.config.hls_estimation_error == 0
+    )
+
+
 class ReplayCache:
     """Memoized per-request-shape execution segments for a hypervisor.
 
-    Attach with ``hypervisor._replay = ReplayCache(hypervisor, ...)``;
-    the hypervisor consults :meth:`try_replay` on each admitted arrival
-    and falls through to live simulation whenever it returns False.
-
-    ``scheduler_factory`` must build a scheduler configured identically
-    to the live one (the attach sites construct both from the same
-    registry name). ``admission_factory`` / ``watchdog_factory`` mirror
-    the live overload protection into the scratch recording run; they
-    are required whenever the live hypervisor has those components.
+    Attach with ``Hypervisor(..., replay=ReplayCache())``; the hypervisor
+    consults :meth:`try_replay` on each admitted arrival and falls
+    through to live simulation whenever it returns False.
 
     ``next_arrival_ms`` supplies the next arrival instant for the gap
     check: a callable returning None (no future arrival), the arrival
@@ -301,42 +335,46 @@ class ReplayCache:
     bulk-credited engine event, in fire order — the service loop uses
     it to attribute events to metric windows exactly.
 
-    ``segments`` (optional) is the shape -> segment map to read and
-    fill; by default the cache keeps its own. A segment is a
-    deterministic function of the shape and of everything
-    :meth:`_record` reads off the board — the ``SystemConfig``, buffer
-    sizes, scheduler and admission/watchdog mirrors — so caches of
-    boards that agree on all of those may share one map, and each shape
-    is recorded once for all of them. The cluster shares one map per
-    such board world for the length of one run.
+    ``worlds`` (optional) maps a board world (:func:`_world_key`) to the
+    shape -> segment map its caches share, so each shape is recorded once
+    per world; :meth:`attach` picks the map. By default the cache keeps
+    its own.
     """
 
     def __init__(
         self,
-        hypervisor,
-        scheduler_factory: Callable[[], object],
         *,
-        admission_factory: Optional[Callable[[], object]] = None,
-        watchdog_factory: Optional[Callable[[], object]] = None,
         next_arrival_ms: Optional[Callable[[], Optional[float]]] = None,
         on_credit: Optional[Callable[[List[float]], None]] = None,
-        segments: Optional[Dict[tuple, tuple]] = None,
+        worlds: Optional[Dict[tuple, dict]] = None,
     ) -> None:
-        self._hv = hypervisor
-        self._scheduler_factory = scheduler_factory
-        self._admission_factory = admission_factory
-        self._watchdog_factory = watchdog_factory
+        self._hv = None
         self._next_arrival_ms = next_arrival_ms
         self._on_credit = on_credit
+        self._worlds = worlds
         #: (graph id, batch, priority) -> (graph ref, Segment | None).
         #: The strong graph reference keeps the id stable; None marks a
         #: shape proven non-replayable (negative cache).
-        self._segments: Dict[tuple, tuple] = (
-            {} if segments is None else segments
-        )
+        self._segments: Dict[tuple, tuple] = {}
+        #: False when the board can never replay (see :func:`_mirrorable`).
+        self._mirrorable = False
         self.hits = 0
         self.misses = 0
         self.recordings = 0
+
+    def attach(self, hypervisor) -> None:
+        """Bind to one hypervisor (called from ``Hypervisor.__init__``
+        after every other hook is bound)."""
+        if self._hv is not None:
+            raise SimulationError(
+                "replay cache is already attached to a hypervisor"
+            )
+        self._hv = hypervisor
+        self._mirrorable = _mirrorable(hypervisor)
+        if self._mirrorable and self._worlds is not None:
+            self._segments = self._worlds.setdefault(
+                _world_key(hypervisor), {}
+            )
 
     # ------------------------------------------------------------------
     # Gate
@@ -354,26 +392,14 @@ class ReplayCache:
         device = hv.device
         if len(device.free_slots()) != device.num_slots:
             return False
-        if hv.faults is not None or hv.observer is not None:
-            return False
-        if hv.engine._observer is not None:
-            return False
-        if hv._model_bitstream_loads or not hv._zero_cost_interconnect:
-            return False
-        if hv.config.hls_estimation_error != 0:
-            return False
         watchdog = hv.watchdog
-        if watchdog is not None:
-            if self._watchdog_factory is None:
-                return False
-            if watchdog._stalled_passes or watchdog._app_progress:
-                return False
+        if watchdog is not None and (
+            watchdog._stalled_passes or watchdog._app_progress
+        ):
+            return False
         admission = hv.admission
-        if admission is not None:
-            if self._admission_factory is None:
-                return False
-            if admission._overload_since is not None:
-                return False
+        if admission is not None and admission._overload_since is not None:
+            return False
         return True
 
     def _gap_clear(self, end_ms: float) -> bool:
@@ -401,7 +427,7 @@ class ReplayCache:
     # ------------------------------------------------------------------
     def try_replay(self, now: float, app_id: int, request) -> bool:
         """Apply a memoized segment for this arrival; False → live path."""
-        if not self._context_replayable():
+        if not self._mirrorable or not self._context_replayable():
             self.misses += 1
             return False
         key = (id(request.graph), request.batch_size, request.priority)
@@ -431,25 +457,27 @@ class ReplayCache:
         Returns None (negative cache) when the execution is not a clean
         isolated run — the recording itself is the proof either way.
         """
+        from repro.admission.controller import AdmissionController
+        from repro.admission.watchdog import Watchdog
         from repro.hypervisor.hypervisor import Hypervisor
+        from repro.schedulers.registry import make_scheduler
 
         self.recordings += 1
         hv = self._hv
+        admission = hv.admission
+        watchdog = hv.watchdog
         engine = _RecordingEngine()
         scratch = Hypervisor(
-            scheduler=self._scheduler_factory(),
+            scheduler=make_scheduler(hv.scheduler.name),
             config=hv.config,
             engine=engine,
             buffer_capacity_bytes=hv.buffers._capacity,
             item_buffer_bytes=hv.item_buffer_bytes,
             admission=(
-                self._admission_factory()
-                if hv.admission is not None else None
+                None if admission is None
+                else AdmissionController(admission.policy, seed=admission.seed)
             ),
-            watchdog=(
-                self._watchdog_factory()
-                if hv.watchdog is not None else None
-            ),
+            watchdog=None if watchdog is None else Watchdog(watchdog.config),
             mode="full",
         )
         trace = _RecordingTrace(engine)

@@ -460,35 +460,3 @@ def service_rate_process(
         seed, calm_rate_per_s=calm, burst_rate_per_s=hot,
         mean_calm_s=mean_calm_s, mean_burst_s=mean_burst_s, **pool_knobs
     )
-
-
-def overload_episode_process(
-    rate_per_s: float,
-    seed: int = 1,
-    burst_multiplier: float = 4.0,
-    calm_s: float = 60.0,
-    burst_s: float = 120.0,
-    recover_s: float = 240.0,
-    **pool_knobs,
-) -> EpisodeArrivals:
-    """The remediation drill's canonical episode: calm → burst → recover.
-
-    A ``burst_multiplier`` x rate spike of exactly ``burst_s`` seconds
-    after a calm warm-up, then a long recovery tail at the base rate
-    (and the schedule cycles if the run outlasts it). Used by the
-    ``repro tune`` drill and the ext-autotune study to induce the
-    overload + starvation episode the closed loop must detect and heal.
-    """
-    if burst_multiplier <= 0:
-        raise WorkloadError(
-            f"burst_multiplier must be > 0, got {burst_multiplier}"
-        )
-    return EpisodeArrivals(
-        seed,
-        phases=(
-            (calm_s, rate_per_s),
-            (burst_s, rate_per_s * burst_multiplier),
-            (recover_s, rate_per_s),
-        ),
-        **pool_knobs,
-    )

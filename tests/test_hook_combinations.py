@@ -3,9 +3,10 @@
 Every front-end that takes optional machinery is run over the product of
 its hooks x ``{full, metrics}`` at small scale:
 
-* the bare :class:`~repro.hypervisor.hypervisor.Hypervisor` — faults,
-  shed admission, watchdog, an observer (none, ``Instrumentation`` or
-  ``InvariantChecker``) and an attached replay cache;
+* the bare :class:`~repro.hypervisor.hypervisor.Hypervisor` — under
+  Nimblock, FCFS and PREMA: faults, shed admission, watchdog, an
+  observer (none, ``Instrumentation`` or ``InvariantChecker``) and an
+  attached replay cache;
 * the :class:`~repro.service.loop.ServiceLoop` — admission, watchdog, an
   observer, replay and autotune, at two arrival rates;
 * a 2-board :class:`~repro.cluster.Cluster` — fleet admission, faults,
@@ -108,14 +109,18 @@ class Cell:
 # ---------------------------------------------------------------------------
 # Bare hypervisor
 # ---------------------------------------------------------------------------
-BARE_FIELDS = ("faults", "admission", "watchdog", "observer", "replay",
-               "mode")
+BARE_FIELDS = ("scheduler", "faults", "admission", "watchdog", "observer",
+               "replay", "mode")
+#: Nimblock and PREMA always tick; FCFS ticks only when faults,
+#: admission or a watchdog is attached, so the tick gate is crossed too.
+BARE_SCHEDULERS = ("nimblock", "fcfs", "prema")
 BARE_SEQUENCE = study_sequence(OVERLOAD_WORKLOAD, 3, 40, 1.0)
 
 
-def _bare_cell(faults, admission, watchdog, observer, replay, mode) -> Cell:
+def _bare_cell(scheduler, faults, admission, watchdog, observer, replay,
+               mode) -> Cell:
     hv = Hypervisor(
-        make_scheduler("nimblock"),
+        make_scheduler(scheduler),
         faults=(
             FaultInjector(MIXED_FAULTS.fault_config(1.0, seed=11))
             if faults else None
@@ -124,17 +129,8 @@ def _bare_cell(faults, admission, watchdog, observer, replay, mode) -> Cell:
         watchdog=Watchdog() if watchdog else None,
         observer=OBSERVERS[observer](),
         mode=mode,
+        replay=ReplayCache() if replay else None,
     )
-    if replay:
-        hv._replay = ReplayCache(
-            hv,
-            scheduler_factory=lambda: make_scheduler("nimblock"),
-            admission_factory=(
-                (lambda: AdmissionController("shed", seed=7))
-                if admission else None
-            ),
-            watchdog_factory=Watchdog if watchdog else None,
-        )
     for request in BARE_SEQUENCE.to_requests():
         hv.submit(request)
     hv.run()
@@ -143,7 +139,7 @@ def _bare_cell(faults, admission, watchdog, observer, replay, mode) -> Cell:
         snapshot=replay_blind_snapshot(hv),
         faults=hv.fault_stats.total_faults,
         shed=len(hv.shed),
-        replay_hits=0 if hv._replay is None else hv._replay.hits,
+        replay_hits=0 if hv.replay is None else hv.replay.hits,
     )
 
 
@@ -152,18 +148,24 @@ def bare_cells() -> dict:
     return {
         key: _bare_cell(*key)
         for key in itertools.product(
-            (False, True), (False, True), (False, True), OBSERVERS,
-            (False, True), MODES,
+            BARE_SCHEDULERS, (False, True), (False, True), (False, True),
+            OBSERVERS, (False, True), MODES,
         )
     }
 
 
 class TestBareHypervisor:
     def test_every_leg_engages(self, bare_cells):
-        cells = bare_cells.values()
-        assert any(cell.faults for cell in cells)
-        assert any(cell.shed for cell in cells)
-        assert any(cell.replay_hits for cell in cells)
+        for scheduler in BARE_SCHEDULERS:
+            cells = [
+                cell for key, cell in bare_cells.items()
+                if key[0] == scheduler
+            ]
+            assert any(cell.faults for cell in cells), scheduler
+            assert any(cell.replay_hits for cell in cells), scheduler
+            # FCFS never sheds on this stimulus.
+            if scheduler != "fcfs":
+                assert any(cell.shed for cell in cells), scheduler
 
     def test_results_ignore_mode_observer_and_replay(self, bare_cells):
         _assert_agree(bare_cells, BARE_FIELDS,
@@ -347,7 +349,7 @@ class TestExclusions:
     def test_armed_loop_runs_live(self):
         loop = ServiceLoop(service_rate_process(1.0, seed=1), replay=True,
                            autotune=AutotuneConfig())
-        assert loop._replay_cache is None
+        assert loop.hv.replay is None
 
     def test_autotune_excludes_snapshots(self):
         with pytest.raises(ServiceError, match="mutually exclusive"):

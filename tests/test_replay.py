@@ -14,23 +14,30 @@ contract everywhere the cache attaches:
 * the bare hypervisor and the cluster tier, where
   :meth:`~repro.hypervisor.hypervisor.Hypervisor.results` reads the
   backfilled per-app/per-task final state;
+* the mirrors the cache builds of the live scheduler, admission
+  controller and watchdog, and the boards it refuses because it cannot
+  build them;
 * the quiescent-gap window-close coalescing the service loop performs,
   which replay must keep exact (same windows closed, same totals).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 
 import pytest
 
+from repro.admission import Watchdog
 from repro.cluster import Cluster, fleet_profiles, simulate_board
 from repro.config import SystemConfig
+from repro.errors import SimulationError
 from repro.experiments.ext_overload import OVERLOAD_WORKLOAD, study_sequence
 from repro.experiments.ext_service import CAPACITY_SCHEDULERS
 from repro.hypervisor.hypervisor import Hypervisor
 from repro.observe import snapshot_run
+from repro.schedulers.fcfs import FCFSScheduler
 from repro.schedulers.registry import make_scheduler
 from repro.service.loop import ServiceLoop
 from repro.sim.replay import ReplayCache
@@ -51,11 +58,14 @@ def _run_loop(
     seed: int = 3,
     mode: str = "full",
     window_ms: float = 60_000.0,
+    admission: str = "shed",
+    admission_knobs=None,
 ) -> ServiceLoop:
     loop = ServiceLoop(
         service_rate_process(rate, seed=seed),
         scheduler,
-        admission="shed",
+        admission=admission,
+        admission_knobs=admission_knobs,
         seed=seed,
         max_submissions=submissions,
         window_ms=window_ms,
@@ -99,11 +109,9 @@ def _sparse_specs(count: int = 24, gap_ms: float = 500_000.0):
 
 
 def _bare_run(replay: bool, specs=None) -> Hypervisor:
-    hv = Hypervisor(make_scheduler("nimblock"))
-    if replay:
-        hv._replay = ReplayCache(
-            hv, scheduler_factory=lambda: make_scheduler("nimblock")
-        )
+    hv = Hypervisor(
+        make_scheduler("nimblock"), replay=ReplayCache() if replay else None
+    )
     for spec in specs or _sparse_specs():
         hv.submit(spec.to_request())
     hv.run()
@@ -176,7 +184,7 @@ class TestBareHypervisorEquivalence:
         the live run exactly on replay-applied apps."""
         on = _bare_run(True)
         off = _bare_run(False)
-        assert on._replay.hits > 0
+        assert on.replay.hits > 0
         assert on.engine.now == off.engine.now
         assert on.engine.processed == off.engine.processed
         assert on.scheduler_passes == off.scheduler_passes
@@ -208,12 +216,8 @@ class TestBareHypervisorEquivalence:
             hv = Hypervisor(
                 make_scheduler("nimblock"),
                 faults=FaultInjector(fault_config),
+                replay=ReplayCache() if replay else None,
             )
-            if replay:
-                hv._replay = ReplayCache(
-                    hv,
-                    scheduler_factory=lambda: make_scheduler("nimblock"),
-                )
             for spec in _sparse_specs():
                 hv.submit(spec.to_request())
             hv.run()
@@ -221,9 +225,9 @@ class TestBareHypervisorEquivalence:
 
         on = run(True)
         off = run(False)
-        assert on._replay.hits == 0
-        assert on._replay.recordings == 0
-        assert on._replay.misses > 0
+        assert on.replay.hits == 0
+        assert on.replay.recordings == 0
+        assert on.replay.misses > 0
         assert _row_digest(on.trace) == _row_digest(off.trace)
 
     def test_observe_counters_exported(self):
@@ -242,6 +246,78 @@ class TestBareHypervisorEquivalence:
             + counters["nimblock_replay_misses_total"]
             == len(hv.apps)
         )
+
+
+class _CustomWatchdog(Watchdog):
+    """A watchdog type the cache cannot rebuild from its config."""
+
+
+class _RenamedFCFS(FCFSScheduler):
+    """A policy whose name the registry does not know."""
+
+    name = "fcfs_custom"
+
+
+class _ImpostorFCFS(FCFSScheduler):
+    """A policy type the registry does not build under its name."""
+
+
+_NIMBLOCK = functools.partial(make_scheduler, "nimblock")
+
+
+class TestMirrors:
+    """The cache rebuilds the live board's scheduler, admission
+    controller and watchdog; a board it cannot rebuild never replays."""
+
+    def test_admission_knobs_reach_the_mirror(self):
+        """With watermarks of 1 every isolated run overloads, so every
+        recording must prove its shape non-replayable. A mirror built
+        from the policy name alone would miss the knobs and replay."""
+        on, off = (
+            _run_loop(
+                "nimblock", replay=replay, submissions=120,
+                admission="degrade",
+                admission_knobs={"high_watermark": 1, "low_watermark": 1},
+            )
+            for replay in (True, False)
+        )
+        assert on.replay_hits == 0
+        assert on.hv.replay.recordings > 0
+        assert _payload(on.report) == _payload(off.report)
+        assert replay_blind_snapshot(on.hv) == replay_blind_snapshot(off.hv)
+
+    @pytest.mark.parametrize("live, exact", [
+        ((_NIMBLOCK, _CustomWatchdog), (_NIMBLOCK, Watchdog)),
+        ((_RenamedFCFS, None), (FCFSScheduler, None)),
+        ((_ImpostorFCFS, None), (FCFSScheduler, None)),
+    ], ids=["watchdog-subclass", "unregistered-name", "reused-name"])
+    def test_unmirrorable_board_never_replays(self, live, exact):
+        specs = _sparse_specs()
+
+        def run(scheduler, watchdog, replay: bool) -> Hypervisor:
+            hv = Hypervisor(
+                scheduler(),
+                watchdog=None if watchdog is None else watchdog(),
+                replay=ReplayCache() if replay else None,
+            )
+            for spec in specs:
+                hv.submit(spec.to_request())
+            hv.run()
+            return hv
+
+        on, off = run(*live, True), run(*live, False)
+        assert on.replay.hits == on.replay.recordings == 0
+        assert on.replay.misses == len(specs)
+        assert on.results() == off.results()
+        assert _row_digest(on.trace) == _row_digest(off.trace)
+        # The same board built from the exact types does replay.
+        assert run(*exact, True).replay.hits > 0
+
+    def test_cache_binds_one_hypervisor(self):
+        cache = ReplayCache()
+        Hypervisor(make_scheduler("nimblock"), replay=cache)
+        with pytest.raises(SimulationError, match="already attached"):
+            Hypervisor(make_scheduler("nimblock"), replay=cache)
 
 
 class TestClusterEquivalence:
@@ -299,11 +375,10 @@ class TestFoldPlan:
 
     @pytest.mark.parametrize("scheduler", CAPACITY_SCHEDULERS)
     def test_plan_matches_row_path(self, scheduler):
-        hv = Hypervisor(
-            make_scheduler(scheduler), config=self._CONFIG, mode="metrics"
-        )
-        cache = ReplayCache(
-            hv, scheduler_factory=lambda: make_scheduler(scheduler)
+        cache = ReplayCache()
+        Hypervisor(
+            make_scheduler(scheduler), config=self._CONFIG, mode="metrics",
+            replay=cache,
         )
         segments = [
             cache._record(EventSpec(
