@@ -154,7 +154,7 @@ def paranoid_sweep(fast: bool) -> int:
     Any breach raises :class:`~repro.errors.InvariantViolation` (exit 1
     with the trace window in the message).
     """
-    from repro.admission import ADMISSION_POLICIES, AdmissionController
+    from repro.admission import ADMISSION_POLICIES
     from repro.experiments.ext_overload import OVERLOAD_WORKLOAD, study_sequence
     from repro.invariants import checked_run
     from repro.schedulers.registry import ALL_SCHEDULERS
@@ -182,8 +182,7 @@ def paranoid_sweep(fast: bool) -> int:
     overload = study_sequence(OVERLOAD_WORKLOAD, 7, 4 * num_events, 4.0)
     for policy in ADMISSION_POLICIES:
         _, checker = checked_run(
-            "fcfs", overload,
-            admission=AdmissionController(policy, seed=7),
+            "fcfs", overload, admission=policy, seed=7,
         )
         print(
             f"paranoid admission={policy}: {checker.passes_checked} passes "

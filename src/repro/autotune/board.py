@@ -39,7 +39,6 @@ def remediate_board(
     config: AutotuneConfig,
     payload: dict,
     hypervisor,
-    controller,
     *,
     profile,
     scheduler_name: str,
@@ -78,6 +77,7 @@ def remediate_board(
 
     results = hypervisor.results()
     shed_arrivals = [app.arrival_ms for app in hypervisor.shed]
+    controller = hypervisor.admission
     stats = controller.stats if controller is not None else None
     dropped = stats.dropped if stats is not None else 0
     base_score = score_episode(
@@ -93,6 +93,11 @@ def remediate_board(
         for index, arrived, completed, lost, p99, _met
         in base_score.windows
     ]
+    # A finished run ends in drain windows with no arrivals, which would
+    # cut every trailing-run rule short; detect on the windows up to the
+    # last one with arrivals.
+    while signals and signals[-1].arrived == 0:
+        signals.pop()
     watchdog = hypervisor.watchdog
     counters = CounterDeltas(
         overload_enters=stats.overload_enters if stats is not None else 0,
@@ -136,10 +141,10 @@ def remediate_board(
     # Adopt the patched world: re-run the whole board exactly as the
     # verifier scored it (replay cache off — a one-off run gains
     # nothing, and byte-identity does not depend on it).
-    patched_payload, _, _ = _board_run(
+    patched_payload, _ = _board_run(
         payload["board"], profile, patched.scheduler, base_config, specs,
         None, patched.admission_policy(), seed, mode, False,
-        watchdog_config=patched.watchdog_config(),
+        patched.watchdog_config(),
     )
     patched_payload["autotune"] = decision
     return patched_payload

@@ -220,6 +220,7 @@ def replay_episode(
         raise AutotuneError("cannot replay an empty episode")
     controller = AdmissionController(tuning.admission_policy(), seed=seed)
     watchdog_config = tuning.watchdog_config()
+    # Not run_closed: a run cut short by a violation is still scored.
     hypervisor = Hypervisor(
         make_scheduler(tuning.scheduler),
         config=config,

@@ -31,9 +31,9 @@ import hashlib
 import json
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
+from repro.admission.watchdog import WatchdogConfig
 from repro.cluster.profiles import BoardProfile
 from repro.config import SystemConfig
-from repro.errors import ClusterError
 from repro.faults.models import FaultConfig
 from repro.sim.trace import Trace
 from repro.sim.trace_export import trace_to_dict
@@ -158,9 +158,11 @@ def simulate_board(task: BoardTask, worlds: Optional[dict] = None) -> dict:
      fault_config, admission_policy, seed, mode, replay, autotune) = task
     if not specs:
         return _empty_payload(board_index, profile, mode)
-    payload, hypervisor, controller = _board_run(
+    payload, hypervisor = _board_run(
         board_index, profile, scheduler_name, base_config, specs,
-        fault_config, admission_policy, seed, mode, replay, worlds=worlds,
+        fault_config, admission_policy, seed, mode, replay,
+        None if admission_policy is None else WatchdogConfig(),
+        worlds=worlds,
     )
     if autotune is None:
         return payload
@@ -171,7 +173,6 @@ def simulate_board(task: BoardTask, worlds: Optional[dict] = None) -> dict:
         autotune,
         payload,
         hypervisor,
-        controller,
         profile=profile,
         scheduler_name=scheduler_name,
         base_config=base_config,
@@ -194,42 +195,28 @@ def _board_run(
     seed: int,
     mode: str,
     replay: bool,
-    watchdog_config="auto",
+    watchdog: Optional[WatchdogConfig],
     worlds: Optional[dict] = None,
 ) -> tuple:
-    """One board simulation; returns (payload, hypervisor, controller).
+    """One board simulation; returns (payload, hypervisor).
 
     ``admission_policy`` may be a registry name or a materialized policy
     instance (the autotune re-run path patches watermarks, which names
-    alone cannot carry). ``watchdog_config="auto"`` keeps the historic
-    pairing — a default watchdog iff admission is on; None or an
-    explicit :class:`~repro.admission.watchdog.WatchdogConfig` override
-    it for patched re-runs, which must run exactly the configuration the
+    alone cannot carry). Patched re-runs pass exactly the watchdog the
     verifier scored. ``worlds`` is :func:`simulate_board`'s.
     """
-    from repro.admission import AdmissionController, Watchdog
-    from repro.faults.injector import FaultInjector
-    from repro.hypervisor.hypervisor import Hypervisor
-    from repro.schedulers.registry import make_scheduler
+    from repro.experiments.runner import run_closed
     from repro.service.sketch import QuantileSketch
     from repro.sim.replay import ReplayCache
 
-    injector = None
-    if fault_config is not None and fault_config.enabled:
-        injector = FaultInjector(fault_config)
-    controller = None
-    watchdog = None
-    if admission_policy is not None:
-        controller = AdmissionController(admission_policy, seed=seed)
-        if watchdog_config == "auto":
-            watchdog = Watchdog()
-        elif watchdog_config is not None:
-            watchdog = Watchdog(watchdog_config)
-    hypervisor = Hypervisor(
-        make_scheduler(scheduler_name),
+    hypervisor = run_closed(
+        scheduler_name,
+        (spec.to_request() for spec in specs),
+        label=f"board {board_index} ({profile.name})",
         config=profile.system_config(base_config),
-        faults=injector,
-        admission=controller,
+        faults=fault_config,
+        admission=admission_policy,
+        seed=seed,
         watchdog=watchdog,
         mode=mode,
         # Fault-injected boards never replay (the cache refuses them),
@@ -238,15 +225,6 @@ def _board_run(
         # next-arrival bound, so no arrival hook is needed.
         replay=ReplayCache(worlds=worlds) if replay else None,
     )
-    for spec in specs:
-        hypervisor.submit(spec.to_request())
-    hypervisor.run()
-    if not hypervisor.all_retired:
-        raise ClusterError(
-            f"board {board_index} ({profile.name}) failed to drain: "
-            f"{len(hypervisor.retired)} retired + {len(hypervisor.shed)} "
-            f"shed of {len(hypervisor.apps)} admitted"
-        )
 
     results = hypervisor.results()
     sketch = QuantileSketch()
@@ -267,16 +245,14 @@ def _board_run(
         profile.idle_power_w * span_ms
         + profile.slot_power_w * run_busy
     ) / 1000.0
-    dropped = 0
-    if controller is not None:
-        dropped = controller.stats.dropped
+    admission = hypervisor.admission
     payload = {
         "board": board_index,
         "profile": profile.to_dict(),
         "submitted": len(specs),
         "retired": len(results),
         "shed": len(hypervisor.shed),
-        "dropped": dropped,
+        "dropped": 0 if admission is None else admission.stats.dropped,
         "items_done": items_done,
         "responses": sketch.to_dict(),
         "first_arrival_ms": first_arrival,
@@ -293,7 +269,7 @@ def _board_run(
             if mode == "full" else None
         ),
     }
-    return payload, hypervisor, controller
+    return payload, hypervisor
 
 
 def board_cells(

@@ -17,9 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.apps.catalog import get_benchmark
-from repro.experiments.runner import format_table
-from repro.hypervisor.hypervisor import Hypervisor
-from repro.schedulers.registry import make_scheduler
+from repro.experiments.runner import format_table, run_closed
 from repro.workload.batching import (
     BatchingStrategy,
     chunks,
@@ -80,13 +78,11 @@ def run(
     for name in benchmarks:
         app = get_benchmark(name)
         for strategy in strategies:
-            hypervisor = Hypervisor(make_scheduler("nimblock"))
-            for request in requests_for(
-                app.name, app.graph, total_items, strategy
-            ):
-                hypervisor.submit(request)
-            hypervisor.run()
-            results = hypervisor.results()
+            results = run_closed(
+                "nimblock",
+                requests_for(app.name, app.graph, total_items, strategy),
+                label=f"{name} {strategy.name}",
+            ).results()
             completion[(name, strategy.name)] = max(
                 r.retire_ms for r in results
             )

@@ -24,11 +24,8 @@ from repro.experiments.runner import (
     ExperimentSettings,
     RunCache,
     format_table,
+    run_closed,
 )
-from repro.faults.injector import FaultInjector
-from repro.faults.models import FaultConfig, FaultStats
-from repro.faults.recovery import RecoveryPolicy
-from repro.hypervisor.hypervisor import Hypervisor
 from repro.hypervisor.results import AppResult
 from repro.metrics.reliability import (
     degradation_factor,
@@ -36,9 +33,7 @@ from repro.metrics.reliability import (
     recovery_times_ms,
     work_lost_ms,
 )
-from repro.schedulers.registry import ALL_SCHEDULERS, make_scheduler
-from repro.sim.trace import Trace
-from repro.workload.events import EventSequence
+from repro.schedulers.registry import ALL_SCHEDULERS
 from repro.workload.scenarios import (
     ChaosScenario,
     MIXED_FAULTS,
@@ -51,38 +46,6 @@ from repro.workload.scenarios import (
 
 #: Fault-rate sweep of the degradation curves (0 = fault-free reference).
 DEFAULT_FAULT_RATES: Tuple[float, ...] = (0.0, 0.02, 0.05, 0.1)
-
-
-def run_chaos_sequence(
-    scheduler_name: str,
-    sequence: EventSequence,
-    fault_config: Optional[FaultConfig] = None,
-    config: Optional[SystemConfig] = None,
-    recovery: Optional[RecoveryPolicy] = None,
-) -> Tuple[List[AppResult], Trace, FaultStats]:
-    """Run one event sequence under one scheduler with fault injection.
-
-    A disabled (or absent) ``fault_config`` attaches no injector at all,
-    so the run is byte-identical to the fault-free path.
-    """
-    injector = None
-    if fault_config is not None and fault_config.enabled:
-        injector = FaultInjector(fault_config)
-    hypervisor = Hypervisor(
-        make_scheduler(scheduler_name), config=config,
-        faults=injector, recovery=recovery,
-    )
-    for request in sequence.to_requests():
-        hypervisor.submit(request)
-    hypervisor.run()
-    if not hypervisor.all_retired:
-        raise ExperimentError(
-            f"scheduler {scheduler_name!r} failed to retire all applications "
-            f"on sequence {sequence.label!r} under faults "
-            f"({len(hypervisor.retired)}/{len(hypervisor.apps)}, "
-            f"{hypervisor.fault_stats.total_faults} faults injected)"
-        )
-    return hypervisor.results(), hypervisor.trace, hypervisor.fault_stats
 
 
 @dataclass(frozen=True)
@@ -264,10 +227,14 @@ def chaos_report(
                "MTTR (ms)", "work lost (ms)", "faults"]
     rows: List[List[object]] = []
     for scheduler in schedulers:
-        clean_results, _, _ = run_chaos_sequence(scheduler, sequence)
-        results, trace, stats = run_chaos_sequence(
-            scheduler, sequence, fault_config
+        clean = run_closed(
+            scheduler, sequence.to_requests(), label=sequence.label
         )
+        chaos = run_closed(
+            scheduler, sequence.to_requests(), label=sequence.label,
+            faults=fault_config,
+        )
+        trace = chaos.trace
         mttr_values = recovery_times_ms(trace)
         mttr = (
             f"{sum(mttr_values) / len(mttr_values):.1f}"
@@ -275,11 +242,11 @@ def chaos_report(
         )
         rows.append([
             scheduler,
-            degradation_factor(clean_results, results),
+            degradation_factor(clean.results(), chaos.results()),
             goodput_items_per_s(trace),
             mttr,
             work_lost_ms(trace),
-            stats.total_faults,
+            chaos.fault_stats.total_faults,
         ])
     title = (
         f"Chaos drill: scenario={scenario.name} fault_rate={fault_rate:g} "

@@ -75,6 +75,7 @@ def run(
     for model_name in INTERCONNECTS:
         responses: List[float] = []
         for sequence in sequences:
+            # Not run_closed: the only run setting interconnect/buffers.
             hypervisor = Hypervisor(
                 make_scheduler(scheduler),
                 interconnect=make_interconnect(model_name),

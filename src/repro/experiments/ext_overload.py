@@ -24,26 +24,17 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.admission import (
-    ADMISSION_POLICIES,
-    AdmissionController,
-    Watchdog,
-    WatchdogConfig,
-)
+from repro.admission import ADMISSION_POLICIES, WatchdogConfig
 from repro.config import SystemConfig
 from repro.errors import ExperimentError
 from repro.experiments.runner import (
     ExperimentSettings,
     RunCache,
     format_table,
+    run_closed,
 )
-from repro.faults.injector import FaultInjector
-from repro.faults.models import FaultConfig
-from repro.hypervisor.hypervisor import Hypervisor
 from repro.hypervisor.results import AppResult
 from repro.metrics.slo import p99_response_ms
-from repro.schedulers.registry import make_scheduler
-from repro.sim.trace import Trace
 from repro.workload.events import EventSequence
 from repro.workload.generator import EVENTS_PER_SEQUENCE
 from repro.workload.scenarios import (
@@ -96,45 +87,6 @@ def study_sequence(
         workload, seed, num_events, rate_multiplier,
         batch_range=batch_range, benchmarks=benchmarks,
     )
-
-
-def run_overload_sequence(
-    scheduler_name: str,
-    sequence: EventSequence,
-    policy: str = "unbounded",
-    seed: int = 0,
-    fault_config: Optional[FaultConfig] = None,
-    config: Optional[SystemConfig] = None,
-    watchdog_config: Optional[WatchdogConfig] = None,
-) -> Tuple[List[AppResult], Trace, AdmissionController]:
-    """Run one event sequence with admission control and a watchdog.
-
-    The ``unbounded`` policy admits everything and arms no watermarks, so
-    its runs are byte-identical to the plain path; the other policies may
-    legally finish with fewer retired applications than arrivals (dropped
-    and shed apps never retire). Returns the retired-app results, the
-    trace, and the controller (whose ``stats`` carry the admission side).
-    """
-    injector = None
-    if fault_config is not None and fault_config.enabled:
-        injector = FaultInjector(fault_config)
-    controller = AdmissionController(policy, seed=seed)
-    watchdog = Watchdog(watchdog_config)
-    hypervisor = Hypervisor(
-        make_scheduler(scheduler_name), config=config, faults=injector,
-        admission=controller, watchdog=watchdog,
-    )
-    for request in sequence.to_requests():
-        hypervisor.submit(request)
-    hypervisor.run()
-    if not hypervisor.all_retired:
-        raise ExperimentError(
-            f"scheduler {scheduler_name!r} failed to drain sequence "
-            f"{sequence.label!r} under policy {controller.policy.kind!r} "
-            f"({len(hypervisor.retired)} retired + {len(hypervisor.shed)} "
-            f"shed of {len(hypervisor.apps)})"
-        )
-    return hypervisor.results(), hypervisor.trace, controller
 
 
 @dataclass(frozen=True)
@@ -413,16 +365,19 @@ def overload_report(
                "shed", "goodput (items/s)", "starvation", "wd kicks"]
     rows: List[List[object]] = []
     for policy in policies:
-        calm_results, _, _ = run_overload_sequence(
-            scheduler, calm, policy, seed=seed
+        calm_results = run_closed(
+            scheduler, calm.to_requests(), label=calm.label,
+            admission=policy, seed=seed, watchdog=WatchdogConfig(),
+        ).results()
+        hot_run = run_closed(
+            scheduler, hot.to_requests(), label=hot.label,
+            admission=policy, seed=seed, watchdog=WatchdogConfig(),
         )
-        results, trace, _ = run_overload_sequence(
-            scheduler, hot, policy, seed=seed
-        )
+        results = hot_run.results()
         high = max(
             (r.priority for r in calm_results + results), default=0
         )
-        report = slo_report(trace, results)
+        report = slo_report(hot_run.trace, results)
         base = p99_response_ms(calm_results, high)
         p99 = p99_response_ms(results, high)
         ratio = (

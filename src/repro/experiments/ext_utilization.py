@@ -16,10 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.runner import ExperimentSettings, format_table
-from repro.hypervisor.hypervisor import Hypervisor
+from repro.experiments.runner import (
+    ExperimentSettings,
+    format_table,
+    run_closed,
+)
 from repro.metrics.utilization import UtilizationReport, board_utilization
-from repro.schedulers.registry import ALL_SCHEDULERS, make_scheduler
+from repro.schedulers.registry import ALL_SCHEDULERS
 from repro.workload.scenarios import STRESS, scenario_sequence
 
 
@@ -66,10 +69,9 @@ def run(
     for name in schedulers:
         per_run: List[UtilizationReport] = []
         for sequence in sequences:
-            hypervisor = Hypervisor(make_scheduler(name))
-            for request in sequence.to_requests():
-                hypervisor.submit(request)
-            hypervisor.run()
+            hypervisor = run_closed(
+                name, sequence.to_requests(), label=sequence.label
+            )
             per_run.append(
                 board_utilization(
                     hypervisor.trace, hypervisor.config.num_slots

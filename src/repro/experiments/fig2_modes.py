@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.config import SystemConfig
+from repro.experiments.runner import run_closed
 from repro.hypervisor.application import AppRequest
-from repro.hypervisor.hypervisor import Hypervisor
-from repro.schedulers.registry import make_scheduler
 from repro.sim.timeline import render_timeline
 from repro.taskgraph.builders import chain_graph
 
@@ -65,10 +64,9 @@ def run(settings=None, cache=None, *, jobs=None, mode="full") -> Fig2Result:
         config = SystemConfig(
             num_slots=slots, dispatch_overhead_ms=0.0,
         )
-        hypervisor = Hypervisor(make_scheduler(scheduler), config=config)
-        for request in _demo_requests():
-            hypervisor.submit(request)
-        hypervisor.run()
+        hypervisor = run_closed(
+            scheduler, _demo_requests(), label=label, config=config
+        )
         makespans[label] = max(
             result.retire_ms for result in hypervisor.results()
         )

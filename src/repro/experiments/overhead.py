@@ -39,6 +39,7 @@ class OverheadResult:
 
 def _loaded_hypervisor(num_apps: int) -> Hypervisor:
     """A hypervisor with ``num_apps`` pending applications, mid-flight."""
+    # Not run_closed: this run stops at a time horizon, not at drain.
     hypervisor = Hypervisor(make_scheduler("nimblock"))
     names = ["lenet", "imgc", "of", "3dr", "alexnet"]
     for index in range(num_apps):

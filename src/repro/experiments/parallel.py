@@ -30,7 +30,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.config import SystemConfig
 from repro.errors import ExperimentError
-from repro.experiments.runner import _env_int, run_sequence
+from repro.experiments.runner import _env_int, run_closed, run_sequence
 from repro.faults.models import FaultConfig
 from repro.hypervisor.results import AppResult
 from repro.workload.events import EventSequence
@@ -92,7 +92,6 @@ def _simulate_chaos(task: ChaosTask) -> ChaosCell:
     inside the worker from the (picklable) ``FaultConfig`` — identical
     reconstruction to the serial path, hence identical draws.
     """
-    from repro.experiments.ext_faults import run_chaos_sequence
     from repro.metrics.reliability import (
         goodput_items_per_s,
         recovery_times_ms,
@@ -100,15 +99,17 @@ def _simulate_chaos(task: ChaosTask) -> ChaosCell:
     )
 
     scheduler_name, sequence, fault_config, config = task
-    results, trace, stats = run_chaos_sequence(
-        scheduler_name, sequence, fault_config, config=config
+    hypervisor = run_closed(
+        scheduler_name, sequence.to_requests(), label=sequence.label,
+        config=config, faults=fault_config,
     )
+    trace = hypervisor.trace
     return ChaosCell(
-        results=tuple(results),
+        results=tuple(hypervisor.results()),
         goodput_items_per_s=goodput_items_per_s(trace),
         recovery_times_ms=tuple(recovery_times_ms(trace)),
         work_lost_ms=work_lost_ms(trace),
-        total_faults=stats.total_faults,
+        total_faults=hypervisor.fault_stats.total_faults,
     )
 
 
@@ -189,15 +190,17 @@ class OverloadCell:
 
 def _simulate_overload(task: OverloadTask) -> OverloadCell:
     """Worker: one overload run plus its trace-derived SLO scalars."""
-    from repro.experiments.ext_overload import run_overload_sequence
+    from repro.admission.watchdog import WatchdogConfig
     from repro.metrics.slo import slo_report
 
     scheduler_name, sequence, policy, seed, fault_config, config = task
-    results, trace, _ = run_overload_sequence(
-        scheduler_name, sequence, policy, seed=seed,
-        fault_config=fault_config, config=config,
+    hypervisor = run_closed(
+        scheduler_name, sequence.to_requests(), label=sequence.label,
+        config=config, faults=fault_config, admission=policy, seed=seed,
+        watchdog=WatchdogConfig(),
     )
-    report = slo_report(trace, results)
+    results = hypervisor.results()
+    report = slo_report(hypervisor.trace, results)
     return OverloadCell(
         results=tuple(results),
         admission_ratio=report.admission_ratio,

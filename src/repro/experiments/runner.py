@@ -1,4 +1,5 @@
-"""Shared experiment infrastructure: settings, run cache, table rendering.
+"""Shared experiment infrastructure: settings, closed runs, run cache,
+table rendering.
 
 The paper evaluates each algorithm on the same 10 distinct 20-event
 sequences. Those are the defaults here; ``ExperimentSettings`` honours the
@@ -29,7 +30,9 @@ import json
 import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.config import SystemConfig
 from repro.errors import ExperimentError
@@ -38,6 +41,12 @@ from repro.hypervisor.results import AppResult
 from repro.modes import normalize_mode
 from repro.schedulers.registry import make_scheduler
 from repro.workload.events import EventSequence
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.admission import AdmissionPolicy, WatchdogConfig
+    from repro.faults.models import FaultConfig
+    from repro.hypervisor.application import AppRequest
+    from repro.sim.replay import ReplayCache
 
 #: Paper defaults: 10 distinct sequences of 20 events each.
 DEFAULT_SEQUENCES = 10
@@ -89,6 +98,59 @@ class ExperimentSettings:
         return [self.base_seed + i for i in range(self.num_sequences)]
 
 
+def run_closed(
+    scheduler: str,
+    requests: Iterable["AppRequest"],
+    *,
+    label: str = "",
+    config: Optional[SystemConfig] = None,
+    faults: Optional["FaultConfig"] = None,
+    admission: Union[str, "AdmissionPolicy", None] = None,
+    seed: int = 0,
+    watchdog: Optional["WatchdogConfig"] = None,
+    observer: Optional[object] = None,
+    mode: str = "full",
+    replay: Optional["ReplayCache"] = None,
+) -> Hypervisor:
+    """Submit every request to one board, run it to drain, return it.
+
+    Built from picklable inputs, so a worker rebuilds exactly what a
+    serial run does: a fault injector iff ``faults`` is enabled, an
+    admission controller for ``admission`` (policy name or policy)
+    seeded by ``seed``, a watchdog iff a ``watchdog`` config is given.
+    Raises :class:`ExperimentError`, naming ``label``, if an admitted
+    application neither retired nor was shed.
+    """
+    injector = controller = dog = None
+    if faults is not None and faults.enabled:
+        from repro.faults.injector import FaultInjector
+
+        injector = FaultInjector(faults)
+    if admission is not None:
+        from repro.admission.controller import AdmissionController
+
+        controller = AdmissionController(admission, seed=seed)
+    if watchdog is not None:
+        from repro.admission.watchdog import Watchdog
+
+        dog = Watchdog(watchdog)
+    hypervisor = Hypervisor(
+        make_scheduler(scheduler), config=config, faults=injector,
+        admission=controller, watchdog=dog, observer=observer, mode=mode,
+        replay=replay,
+    )
+    for request in requests:
+        hypervisor.submit(request)
+    hypervisor.run()
+    if not hypervisor.all_retired:
+        raise ExperimentError(
+            f"scheduler {scheduler!r} failed to drain run {label!r}: "
+            f"{len(hypervisor.retired)} retired + {len(hypervisor.shed)} "
+            f"shed of {len(hypervisor.apps)} admitted"
+        )
+    return hypervisor
+
+
 def run_sequence(
     scheduler_name: str,
     sequence: EventSequence,
@@ -101,19 +163,10 @@ def run_sequence(
     :class:`AppResult` list is identical in either mode (results are
     derived from hypervisor state, never from trace rows).
     """
-    hypervisor = Hypervisor(
-        make_scheduler(scheduler_name), config=config, mode=mode
-    )
-    for request in sequence.to_requests():
-        hypervisor.submit(request)
-    hypervisor.run()
-    if not hypervisor.all_retired:
-        raise ExperimentError(
-            f"scheduler {scheduler_name!r} failed to retire all applications "
-            f"on sequence {sequence.label!r} "
-            f"({len(hypervisor.retired)}/{len(hypervisor.apps)})"
-        )
-    return hypervisor.results()
+    return run_closed(
+        scheduler_name, sequence.to_requests(), label=sequence.label,
+        config=config, mode=mode,
+    ).results()
 
 
 def config_fingerprint(config: SystemConfig) -> str:

@@ -70,11 +70,10 @@ def simulate(
     (never changing simulation behaviour — traces stay byte-identical).
     ``mode="metrics"`` skips trace rows entirely: counters and observer
     metrics stay exact, while row-reading accessors (``run.trace.events``,
-    ``run.spans()``) raise :class:`~repro.errors.ExperimentError`.
+    ``run.spans()``) raise :class:`~repro.errors.ExperimentError`, as
+    does a run that fails to drain.
     """
-    from repro.experiments.runner import ExperimentSettings
-    from repro.hypervisor.hypervisor import Hypervisor
-    from repro.schedulers.registry import make_scheduler
+    from repro.experiments.runner import ExperimentSettings, run_closed
     from repro.workload.scenarios import SCENARIOS, scenario_sequence
 
     if sequence is None:
@@ -88,25 +87,16 @@ def simulate(
             num_events = ExperimentSettings.from_env().num_events
         sequence = scenario_sequence(match[0], seed, num_events)
 
-    injector = None
-    if faults is not None and faults.enabled:
-        from repro.faults.injector import FaultInjector
-
-        injector = FaultInjector(faults)
-
     observer = None
     if observe:
         from repro.observe.instrument import Instrumentation
 
         observer = Instrumentation()
 
-    hypervisor = Hypervisor(
-        make_scheduler(scheduler), config=config,
-        faults=injector, observer=observer, mode=mode,
+    hypervisor = run_closed(
+        scheduler, sequence.to_requests(), label=sequence.label,
+        config=config, faults=faults, observer=observer, mode=mode,
     )
-    for request in sequence.to_requests():
-        hypervisor.submit(request)
-    hypervisor.run()
     if observer is not None:
         observer.finalize(hypervisor)
     return SimulationRun(

@@ -256,29 +256,25 @@ def checked_run(
     fault_config=None,
     config=None,
     admission=None,
+    seed: int = 0,
     watchdog=None,
     window: int = 24,
 ):
     """Convenience: run one sequence with the invariant checker attached.
 
+    Other arguments are :func:`~repro.experiments.runner.run_closed`'s.
     Returns ``(hypervisor, checker)``; raises
-    :class:`~repro.errors.InvariantViolation` on the first breach. Used
-    by the CI ``paranoid`` job and the chaos drills.
+    :class:`~repro.errors.InvariantViolation` on the first breach and
+    :class:`~repro.errors.ExperimentError` on a run that fails to drain.
+    Used by ``bench_invariants.py --paranoid`` and the chaos drills.
     """
-    from repro.faults.injector import FaultInjector
-    from repro.hypervisor.hypervisor import Hypervisor
-    from repro.schedulers.registry import make_scheduler
+    from repro.experiments.runner import run_closed
 
-    injector = None
-    if fault_config is not None and fault_config.enabled:
-        injector = FaultInjector(fault_config)
     checker = InvariantChecker(window=window)
-    hypervisor = Hypervisor(
-        make_scheduler(scheduler_name), config=config, faults=injector,
-        observer=checker, admission=admission, watchdog=watchdog,
+    hypervisor = run_closed(
+        scheduler_name, sequence.to_requests(), label=sequence.label,
+        config=config, faults=fault_config, admission=admission, seed=seed,
+        watchdog=watchdog, observer=checker,
     )
-    for request in sequence.to_requests():
-        hypervisor.submit(request)
-    hypervisor.run()
     checker.check_now(hypervisor, hypervisor.engine.now)
     return hypervisor, checker

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
+from repro.admission.watchdog import WatchdogConfig
 from repro.config import SystemConfig
-from repro.errors import ExperimentError
 from repro.faults.models import FaultConfig
 from repro.observe.instrument import Instrumentation
 from repro.observe.metrics import merge_snapshots
@@ -52,34 +52,15 @@ def observed_run(
     overload/shed/watchdog counters in the snapshot; shed or dropped
     applications then legally reduce the retired count.
     """
-    from repro.faults.injector import FaultInjector
-    from repro.hypervisor.hypervisor import Hypervisor
-    from repro.schedulers.registry import make_scheduler
+    from repro.experiments.runner import run_closed
 
-    injector = None
-    if fault_config is not None and fault_config.enabled:
-        injector = FaultInjector(fault_config)
-    controller = None
-    watchdog = None
-    if admission is not None:
-        from repro.admission import AdmissionController, Watchdog
-
-        controller = AdmissionController(admission, seed=seed)
-        watchdog = Watchdog()
     observer = Instrumentation(profile=profile)
-    hypervisor = Hypervisor(
-        make_scheduler(scheduler_name), config=config,
-        faults=injector, admission=controller, watchdog=watchdog,
+    hypervisor = run_closed(
+        scheduler_name, sequence.to_requests(), label=sequence.label,
+        config=config, faults=fault_config, admission=admission, seed=seed,
+        watchdog=None if admission is None else WatchdogConfig(),
         observer=observer, mode=mode,
     )
-    for request in sequence.to_requests():
-        hypervisor.submit(request)
-    hypervisor.run()
-    if not hypervisor.all_retired:
-        raise ExperimentError(
-            f"scheduler {scheduler_name!r} failed to retire all "
-            f"applications on sequence {sequence.label!r}"
-        )
     observer.finalize(hypervisor)
     return hypervisor, observer
 

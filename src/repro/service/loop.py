@@ -341,6 +341,7 @@ class ServiceLoop:
                 next_arrival_ms=self._replay_next_arrival,
                 on_credit=self._replay_event_times.extend,
             )
+        # Not run_closed: open-loop, never drains, takes Watchdog objects.
         self.hv = Hypervisor(
             scheduler=make_scheduler(scheduler),
             config=config,

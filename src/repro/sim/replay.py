@@ -467,6 +467,7 @@ class ReplayCache:
         admission = hv.admission
         watchdog = hv.watchdog
         engine = _RecordingEngine()
+        # Not run_closed: a recording world with its trace and port swapped.
         scratch = Hypervisor(
             scheduler=make_scheduler(hv.scheduler.name),
             config=hv.config,

@@ -461,6 +461,29 @@ class TestClusterAutotune:
         assert one.to_dict() == two.to_dict()
         assert one.snapshot_digest() == two.snapshot_digest()
 
+    def test_breach_before_the_drain_applies_a_patch(self):
+        # Every finished board run ends in drain windows with no
+        # arrivals; detection must read past them to the breach.
+        from repro.facade import fleet
+
+        kwargs = dict(
+            num_events=400, rate_multiplier=4.0, admission="shed", seed=1,
+            mode="metrics", autotune=AutotuneConfig(),
+        )
+        one = fleet(2, jobs=1, **kwargs)
+        record = one.boards[1]["autotune"]
+        assert "slo_breach" in [s["kind"] for s in record["symptoms"]]
+        verified = [
+            c["patch"]["patch_id"] for c in record["candidates"]
+            if c["verdict"] == "verified"
+        ]
+        assert record["applied"] in verified
+        assert record["tuning_after"]["admission"] == "degrade"
+        assert record["tuning_after"]["admission_knobs"] == {
+            "high_watermark": 12, "low_watermark": 6,
+        }
+        assert one.to_dict() == fleet(2, jobs=2, **kwargs).to_dict()
+
     def test_fault_injected_boards_are_skipped(self):
         from repro.facade import fleet
 

@@ -19,8 +19,10 @@ from repro.experiments.runner import (
     ExperimentSettings,
     RunCache,
     format_table,
+    run_closed,
     run_sequence,
 )
+from repro.schedulers.base import SchedulerPolicy
 from repro.workload.scenarios import STRESS, scenario_sequence
 
 #: Tiny but statistically meaningful settings for harness tests.
@@ -105,6 +107,53 @@ class TestRunner:
         lines = text.splitlines()
         assert len(lines) == 4
         assert "2.50" in text
+
+
+class _NeverConfigures(SchedulerPolicy):
+    """A policy that never loads a task, so no run can drain."""
+
+    name = "never"
+
+    def decide(self, ctx):
+        return None
+
+
+class TestDrainContract:
+    """Every closed-run entry point fails an undrained run the same way."""
+
+    SEQUENCE = scenario_sequence(STRESS, seed=1, num_events=3)
+
+    @pytest.fixture(autouse=True)
+    def stuck_scheduler(self, monkeypatch):
+        monkeypatch.setattr(
+            "repro.experiments.runner.make_scheduler",
+            lambda name: _NeverConfigures(),
+        )
+
+    def _assert_drain_error(self, run) -> None:
+        with pytest.raises(ExperimentError) as info:
+            run()
+        message = str(info.value)
+        assert "'fcfs'" in message
+        assert repr(self.SEQUENCE.label) in message
+        assert "0 retired + 0 shed of 3 admitted" in message
+
+    def test_run_closed(self):
+        self._assert_drain_error(lambda: run_closed(
+            "fcfs", self.SEQUENCE.to_requests(), label=self.SEQUENCE.label,
+        ))
+
+    def test_simulate(self):
+        from repro.facade import simulate
+
+        self._assert_drain_error(
+            lambda: simulate("fcfs", sequence=self.SEQUENCE)
+        )
+
+    def test_checked_run(self):
+        from repro.invariants import checked_run
+
+        self._assert_drain_error(lambda: checked_run("fcfs", self.SEQUENCE))
 
 
 class TestStaticTables:

@@ -26,7 +26,8 @@ from repro.errors import (
     SlotStateError,
     WorkloadError,
 )
-from repro.experiments.ext_faults import chaos_report, run_chaos_sequence
+from repro.experiments.ext_faults import chaos_report
+from repro.experiments.runner import run_closed
 from repro.faults import (
     FaultConfig,
     FaultInjector,
@@ -352,8 +353,12 @@ class TestChaosRuns:
         """Same chaos scenario + same seed twice => byte-identical traces."""
         sequence = _tiny_sequence()
         fault_config = MIXED_FAULTS.fault_config(0.1, seed=7)
-        _, first, _ = run_chaos_sequence("nimblock", sequence, fault_config)
-        _, second, _ = run_chaos_sequence("nimblock", sequence, fault_config)
+        first = run_closed(
+            "nimblock", sequence.to_requests(), faults=fault_config
+        ).trace
+        second = run_closed(
+            "nimblock", sequence.to_requests(), faults=fault_config
+        ).trace
         assert first.events == second.events
         assert (
             json.dumps(trace_to_dict(first)).encode()
@@ -362,32 +367,37 @@ class TestChaosRuns:
 
     def test_different_fault_seeds_diverge(self):
         sequence = _tiny_sequence()
-        _, a, _ = run_chaos_sequence(
-            "nimblock", sequence, TRANSIENT_FAULTS.fault_config(0.2, seed=1)
-        )
-        _, b, _ = run_chaos_sequence(
-            "nimblock", sequence, TRANSIENT_FAULTS.fault_config(0.2, seed=2)
-        )
+        a = run_closed(
+            "nimblock", sequence.to_requests(),
+            faults=TRANSIENT_FAULTS.fault_config(0.2, seed=1),
+        ).trace
+        b = run_closed(
+            "nimblock", sequence.to_requests(),
+            faults=TRANSIENT_FAULTS.fault_config(0.2, seed=2),
+        ).trace
         assert a.events != b.events
 
     def test_zero_rate_identical_to_fault_free(self):
         """A disabled config is byte-identical to running no injector."""
         sequence = _tiny_sequence()
-        clean_results, clean_trace, _ = run_chaos_sequence("fcfs", sequence)
+        clean = run_closed("fcfs", sequence.to_requests())
         zero = MIXED_FAULTS.fault_config(0.0, seed=9)
         assert not zero.enabled
-        results, trace, stats = run_chaos_sequence("fcfs", sequence, zero)
-        assert trace.events == clean_trace.events
-        assert stats.total_faults == 0
-        assert degradation_factor(clean_results, results) == pytest.approx(1.0)
+        hv = run_closed("fcfs", sequence.to_requests(), faults=zero)
+        assert hv.faults is None
+        assert hv.trace.events == clean.trace.events
+        assert hv.fault_stats.total_faults == 0
+        assert degradation_factor(
+            clean.results(), hv.results()
+        ) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("scheduler", ALL_SCHEDULERS)
     def test_every_scheduler_survives_mixed_chaos(self, scheduler):
         sequence = _tiny_sequence(seed=3)
         fault_config = MIXED_FAULTS.fault_config(0.1, seed=3)
-        results, trace, stats = run_chaos_sequence(
-            scheduler, sequence, fault_config
-        )
+        results = run_closed(
+            scheduler, sequence.to_requests(), faults=fault_config
+        ).results()
         assert len(results) == len(sequence.events)
         assert all(r.response_ms > 0 for r in results)
 
@@ -395,25 +405,27 @@ class TestChaosRuns:
         """Aggressive permanent faults blacklist slots; the run still ends."""
         sequence = _tiny_sequence(seed=3, events=6)
         fault_config = PERMANENT_FAULTS.fault_config(20.0, seed=3)
-        _, trace, stats = run_chaos_sequence("fcfs", sequence, fault_config)
+        hv = run_closed("fcfs", sequence.to_requests(), faults=fault_config)
+        stats = hv.fault_stats
         assert stats.permanent_faults > 0
-        report = reliability_report(trace)
+        report = reliability_report(hv.trace)
         assert report.permanent_faults == stats.permanent_faults
 
     def test_reconfig_faults_produce_failures_and_recoveries(self):
         sequence = _tiny_sequence(seed=2)
         fault_config = RECONFIG_FAULTS.fault_config(0.3, seed=2)
-        _, trace, stats = run_chaos_sequence("prema", sequence, fault_config)
-        assert stats.config_failures > 0
-        assert stats.transient_faults == 0
-        mttr = mean_time_to_recovery_ms(trace)
+        hv = run_closed("prema", sequence.to_requests(), faults=fault_config)
+        assert hv.fault_stats.config_failures > 0
+        assert hv.fault_stats.transient_faults == 0
+        mttr = mean_time_to_recovery_ms(hv.trace)
         assert not math.isnan(mttr) and mttr > 0
 
     def test_fault_stats_match_trace(self):
         sequence = _tiny_sequence(seed=5)
         fault_config = TRANSIENT_FAULTS.fault_config(0.2, seed=5)
-        _, trace, stats = run_chaos_sequence("rr", sequence, fault_config)
-        report = reliability_report(trace)
+        hv = run_closed("rr", sequence.to_requests(), faults=fault_config)
+        stats = hv.fault_stats
+        report = reliability_report(hv.trace)
         assert report.slot_faults == stats.transient_faults
         assert report.repairs == stats.repairs
         assert report.relocations == stats.relocations
@@ -522,10 +534,10 @@ class TestTraceKindRoundTrip:
         assert rebuilt.events == trace.events
 
     def test_chaos_trace_round_trips(self, tmp_path):
-        _, trace, _ = run_chaos_sequence(
-            "nimblock", _tiny_sequence(),
-            MIXED_FAULTS.fault_config(0.1, seed=7),
-        )
+        trace = run_closed(
+            "nimblock", _tiny_sequence().to_requests(),
+            faults=MIXED_FAULTS.fault_config(0.1, seed=7),
+        ).trace
         kinds = {e.kind for e in trace}
         assert TraceKind.SLOT_FAULT in kinds
         rebuilt = load_trace(save_trace(trace, tmp_path / "chaos.json"))

@@ -9,8 +9,8 @@ its hooks x ``{full, metrics}`` at small scale:
   attached replay cache;
 * the :class:`~repro.service.loop.ServiceLoop` — admission, watchdog, an
   observer, replay and autotune, at two arrival rates;
-* a 2-board :class:`~repro.cluster.Cluster` — fleet admission, faults,
-  replay, autotune and ``jobs``.
+* a 2-board :class:`~repro.cluster.Cluster` — under the same three
+  schedulers: fleet admission, faults, replay, autotune and ``jobs``.
 
 Within one matrix, cells that differ only in hooks documented as
 execution strategy or bystanders must agree: per-app results and report
@@ -248,8 +248,8 @@ class TestServiceLoop:
 # ---------------------------------------------------------------------------
 # Cluster
 # ---------------------------------------------------------------------------
-CLUSTER_FIELDS = ("admission", "faults", "replay", "autotune", "jobs",
-                  "mode")
+CLUSTER_FIELDS = ("scheduler", "admission", "faults", "replay", "autotune",
+                  "jobs", "mode")
 
 
 def _cluster_stimulus():
@@ -264,8 +264,8 @@ def _cluster_stimulus():
     return burst + sparse
 
 
-def _cluster_cell(admission, faults, replay, autotune, jobs, mode,
-                  monkeypatch) -> Cell:
+def _cluster_cell(scheduler, admission, faults, replay, autotune, jobs,
+                  mode, monkeypatch) -> Cell:
     hits = []
     if jobs == 1:
         try_replay = ReplayCache.try_replay
@@ -278,6 +278,7 @@ def _cluster_cell(admission, faults, replay, autotune, jobs, mode,
         monkeypatch.setattr(ReplayCache, "try_replay", counted)
     cluster = Cluster(
         fleet_profiles(2),
+        scheduler=scheduler,
         admission=admission,
         faults=MIXED_FAULTS.fault_config(1.0, seed=5) if faults else None,
         seed=5,
@@ -304,8 +305,8 @@ def cluster_cells() -> dict:
         return {
             key: _cluster_cell(*key, monkeypatch)
             for key in itertools.product(
-                (None, "shed", "degrade"), (False, True), (False, True),
-                (False, True), (1, 2), MODES,
+                BARE_SCHEDULERS, (None, "shed", "degrade"), (False, True),
+                (False, True), (False, True), (1, 2), MODES,
             )
         }
 
@@ -320,11 +321,15 @@ def _without_digests(payload: dict) -> dict:
 
 class TestCluster:
     def test_every_leg_engages(self, cluster_cells):
-        cells = cluster_cells.values()
-        assert any(cell.faults for cell in cells)
-        assert any(cell.shed for cell in cells)
-        assert any(cell.replay_hits for cell in cells)
-        assert any(cell.decisions for cell in cells)
+        for scheduler in BARE_SCHEDULERS:
+            cells = [
+                cell for key, cell in cluster_cells.items()
+                if key[0] == scheduler
+            ]
+            assert any(cell.faults for cell in cells), scheduler
+            assert any(cell.shed for cell in cells), scheduler
+            assert any(cell.replay_hits for cell in cells), scheduler
+            assert any(cell.decisions for cell in cells), scheduler
 
     def test_payload_ignores_jobs_and_replay(self, cluster_cells):
         _assert_agree(cluster_cells, CLUSTER_FIELDS, ("replay", "jobs"),

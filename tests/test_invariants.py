@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.admission import AdmissionController
 from repro.errors import InvariantViolation, SchedulerError
 from repro.hypervisor.hypervisor import Hypervisor
 from repro.invariants import InvariantChecker, checked_run
@@ -71,8 +70,7 @@ class TestCleanRuns:
         sequence = study_sequence(OVERLOAD_WORKLOAD, 3, 24, 4.0)
         for policy in ("reject", "shed", "degrade"):
             _, checker = checked_run(
-                "fcfs", sequence,
-                admission=AdmissionController(policy, seed=3),
+                "fcfs", sequence, admission=policy, seed=3,
             )
             assert checker.passes_checked > 0
 
