@@ -32,6 +32,7 @@ golden-pin check fails.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import statistics
@@ -40,6 +41,8 @@ import sys
 import time
 from pathlib import Path
 from typing import Dict, List
+
+from repro.experiments.parallel import ServiceCell, run_cells
 
 #: Default output of ``--bench`` mode.
 DEFAULT_BENCH_PATH = (
@@ -52,8 +55,8 @@ GUARD_THRESHOLD = 1.05
 
 #: Calm workload for the armed-but-quiet equality check: 0.2/s Poisson
 #: never backs the queue up, so no symptom can fire.
-QUIET_TASK = ("nimblock", "unbounded", 0.2, 0.0, 1, 40, 10_000.0,
-              "metrics", True)
+QUIET_CELL = ServiceCell("nimblock", "unbounded", seed=1, submissions=40,
+                         window_ms=10_000.0, rate=0.2)
 
 #: Subprocess probe: a plain service run must not import repro.autotune.
 _STRUCTURAL_PROBE = """
@@ -75,10 +78,11 @@ def structural_check() -> None:
 def armed_quiet_check() -> None:
     """Armed over a calm run == un-armed run, byte for byte."""
     from repro.autotune import AutotuneConfig
-    from repro.experiments.parallel import service_cells
 
-    plain, armed = service_cells(
-        [QUIET_TASK, QUIET_TASK + (AutotuneConfig(),)], jobs=1
+    plain, armed = run_cells(
+        [QUIET_CELL,
+         dataclasses.replace(QUIET_CELL, autotune=AutotuneConfig())],
+        jobs=1,
     )
     if armed.get("decisions") or armed.get("applies"):
         raise SystemExit(
@@ -99,9 +103,9 @@ def drill_payload(jobs: int, fast: bool) -> dict:
 
     if fast:
         return tune(rate=2.0, submissions=240, seed=1,
-                    window_ms=10_000.0, mode="metrics", jobs=jobs)
+                    window_ms=10_000.0, jobs=jobs)
     return tune(rate=1.0, submissions=600, seed=1,
-                window_ms=10_000.0, mode="metrics", jobs=jobs)
+                window_ms=10_000.0, jobs=jobs)
 
 
 def determinism_check(fast: bool) -> dict:
@@ -148,23 +152,24 @@ def _write_pin(payload: dict, fast: bool) -> Path:
 def measure(fast: bool) -> Dict[str, float]:
     """Interleaved un-armed/armed-quiet medians (absorbs drift)."""
     from repro.autotune import AutotuneConfig
-    from repro.experiments.parallel import service_cells
 
     # replay=False on both sides: arming disables the replay cache, so
     # a replaying un-armed run would pay cache recording the armed run
     # skips — the timing must compare live path against live path.
-    submissions = 120 if fast else 400
-    task = (QUIET_TASK[:5] + (submissions,) + QUIET_TASK[6:8]
-            + (False,))
+    task = dataclasses.replace(
+        QUIET_CELL, submissions=120 if fast else 400, replay=False
+    )
     repetitions = 3 if fast else 5
-    service_cells([task], jobs=1)  # warm caches
+    run_cells([task], jobs=1)  # warm caches
     plain: List[float] = []
     armed: List[float] = []
     for _ in range(repetitions):
-        for bucket, cell in ((plain, task),
-                             (armed, task + (AutotuneConfig(),))):
+        for bucket, cell in (
+            (plain, task),
+            (armed, dataclasses.replace(task, autotune=AutotuneConfig())),
+        ):
             started = time.perf_counter()
-            service_cells([cell], jobs=1)
+            run_cells([cell], jobs=1)
             bucket.append(time.perf_counter() - started)
     plain_s = statistics.median(plain)
     armed_s = statistics.median(armed)

@@ -24,44 +24,32 @@ armed config never import this module (zero-cost discipline).
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import replace
+from typing import TYPE_CHECKING
 
-from repro.autotune.engine import AutotuneConfig
 from repro.autotune.proposals import TunableConfig, propose
 from repro.autotune.symptoms import CounterDeltas, WindowSignal, detect
 from repro.autotune.verifier import score_episode, verify_candidates
 from repro.service.windows import DEFAULT_WINDOW_MS
 
+if TYPE_CHECKING:
+    from repro.cluster.shard import BoardTask
+
 __all__ = ["remediate_board"]
 
 
-def remediate_board(
-    config: AutotuneConfig,
-    payload: dict,
-    hypervisor,
-    *,
-    profile,
-    scheduler_name: str,
-    base_config,
-    specs,
-    fault_config,
-    admission_policy: Optional[str],
-    seed: int,
-    mode: str,
-    window_ms: float = DEFAULT_WINDOW_MS,
-) -> dict:
-    """One board's closed-loop pass; returns the payload to merge."""
+def remediate_board(task: "BoardTask", payload: dict, hypervisor) -> dict:
+    """One board's closed-loop pass over ``task``'s finished baseline
+    run; returns the payload to merge."""
     from repro.cluster.shard import _board_run
 
+    config, specs = task.autotune, task.specs
     tuning = TunableConfig.capture(
-        scheduler_name,
-        admission_policy or "unbounded",
-        {},
-        hypervisor.watchdog,
+        task.scheduler, task.admission or "unbounded", {}, hypervisor.watchdog
     )
     decision: dict = {
-        "board": payload["board"],
-        "window_ms": window_ms,
+        "board": task.board,
+        "window_ms": DEFAULT_WINDOW_MS,
         "tuning_before": tuning.to_dict(),
         "tuning_after": tuning.to_dict(),
         "symptoms": [],
@@ -70,7 +58,7 @@ def remediate_board(
         "applied": None,
         "digest": None,
     }
-    if fault_config is not None and fault_config.enabled:
+    if task.faults is not None and task.faults.enabled:
         decision["skipped"] = "fault-injected-board"
         payload["autotune"] = decision
         return payload
@@ -82,7 +70,7 @@ def remediate_board(
     dropped = stats.dropped if stats is not None else 0
     base_score = score_episode(
         specs, results, shed_arrivals, dropped,
-        window_ms=window_ms, slo=config.slo,
+        window_ms=DEFAULT_WINDOW_MS, slo=config.slo,
         span_ms=hypervisor.engine.now,
     )
     signals = [
@@ -109,7 +97,7 @@ def remediate_board(
         stalls=getattr(watchdog, "stalls_detected", 0),
         energy_j=payload["energy_j"],
         span_ms=hypervisor.engine.now,
-        power_cap_w=profile.power_cap_w,
+        power_cap_w=task.profile.power_cap_w,
     )
     symptoms = detect(signals, counters, config.detector)
     decision["symptoms"] = [s.to_dict() for s in symptoms]
@@ -124,8 +112,8 @@ def remediate_board(
         return payload
     baseline, verifications, winner = verify_candidates(
         specs, tuning, candidates,
-        seed=seed, window_ms=window_ms, slo=config.slo,
-        config=profile.system_config(base_config),
+        seed=task.seed, window_ms=DEFAULT_WINDOW_MS, slo=config.slo,
+        config=task.profile.system_config(task.config),
         invariants=config.verify_invariants,
     )
     decision["baseline"] = baseline.to_dict()
@@ -139,12 +127,12 @@ def remediate_board(
     decision["tuning_after"] = patched.to_dict()
     decision["digest"] = winner.score.digest()
     # Adopt the patched world: re-run the whole board exactly as the
-    # verifier scored it (replay cache off — a one-off run gains
-    # nothing, and byte-identity does not depend on it).
-    patched_payload, _ = _board_run(
-        payload["board"], profile, patched.scheduler, base_config, specs,
-        None, patched.admission_policy(), seed, mode, False,
-        patched.watchdog_config(),
-    )
+    # verifier scored it, watchdog included (replay cache off — a
+    # one-off run gains nothing, and byte-identity does not depend on it).
+    patched_payload, _ = _board_run(replace(
+        task, scheduler=patched.scheduler, faults=None,
+        admission=patched.admission_policy(),
+        watchdog=patched.watchdog_config(), replay=False, autotune=None,
+    ))
     patched_payload["autotune"] = decision
     return patched_payload

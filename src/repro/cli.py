@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
             "run mode: 'full' records trace rows for debugging/export; "
             "'metrics' folds events straight into counters and sketches "
             "— same numbers, fastest path (default: full); serve and "
-            "tune never store rows, in either mode"
+            "tune store no rows and ignore it"
         ),
     )
     parser.add_argument(
@@ -345,7 +345,6 @@ def _run_serve(args: argparse.Namespace, settings: ExperimentSettings) -> int:
         admission=args.admission or "shed",
         seed=args.seed,
         jobs=args.jobs,
-        mode=args.mode,
         replay=not args.no_replay,
     ))
     wall_s = time.perf_counter() - started
@@ -420,7 +419,6 @@ def _run_tune(args: argparse.Namespace, settings: ExperimentSettings) -> int:
         window_ms=window_s * 1000.0,
         jobs=args.jobs,
         as_json=args.json,
-        mode=args.mode,
     ), end="")
     print(
         f"tune: 2 runs x {submissions} submissions in "

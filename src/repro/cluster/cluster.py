@@ -40,6 +40,7 @@ from repro.admission.policies import (
     ShedPolicy,
     make_admission_policy,
 )
+from repro.admission.watchdog import WatchdogConfig
 from repro.apps.catalog import get_benchmark
 from repro.apps.hls import application_latency_estimate_ms
 from repro.cluster.placement import PlacementPolicy, make_placement
@@ -479,6 +480,9 @@ class Cluster:
         ``autotune`` (an :class:`~repro.autotune.engine.AutotuneConfig`,
         or None) arms the per-board remediation pipeline.
         """
+        admission = self._board_admission
+        # The overload-tier pairing: a watchdog iff the board has admission.
+        watchdog = None if admission is None else WatchdogConfig()
         tasks: List[BoardTask] = []
         for board in self._boards:
             specs = tuple(
@@ -487,19 +491,14 @@ class Cluster:
                     key=lambda item: (item[1].arrival_ms, item[0]),
                 )
             )
-            tasks.append((
-                board.index,
-                board.profile,
-                self._scheduler,
-                self._config,
-                specs,
-                derive_board_fault_config(self._faults, board.index)
+            tasks.append(BoardTask(
+                board=board.index, profile=board.profile,
+                scheduler=self._scheduler, config=self._config, specs=specs,
+                faults=derive_board_fault_config(self._faults, board.index)
                 if not board.failed else None,
-                self._board_admission,
-                self._seed + board.index,
-                mode,
-                replay,
-                autotune,
+                admission=admission, seed=self._seed + board.index,
+                watchdog=watchdog, mode=mode, replay=replay,
+                autotune=autotune,
             ))
         return tasks
 

@@ -3,7 +3,7 @@
 Between placement decisions the boards of a fleet are completely
 independent — each runs its own hypervisor over its own placed arrivals.
 That makes the *board* the natural sharding axis: the cluster serializes
-each board's work into a picklable :data:`BoardTask`, fans the tasks out
+each board's work into a picklable :class:`BoardTask`, fans the tasks out
 over worker processes via :func:`repro.experiments.parallel.fanout`, and
 merges the returned payloads in board-index order.
 
@@ -29,9 +29,9 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
-from repro.admission.watchdog import WatchdogConfig
 from repro.cluster.profiles import BoardProfile
 from repro.config import SystemConfig
 from repro.faults.models import FaultConfig
@@ -40,23 +40,37 @@ from repro.sim.trace_export import trace_to_dict
 from repro.workload.events import EventSpec
 
 if TYPE_CHECKING:
+    from repro.admission import AdmissionPolicy, WatchdogConfig
     from repro.autotune.engine import AutotuneConfig
 
-#: One board's simulation input: (board index, profile, scheduler name,
-#: fleet-wide base config or None, placed event specs in arrival order,
-#: per-board fault config or None, per-board admission policy name or
-#: None, per-board seed, run mode, replay-cache enable, autotune config
-#: or None). Everything is a primitive or a frozen dataclass of
-#: primitives, hence picklable. A replay-off run is byte-identical to a
-#: replay-on one (the flag exists for A/B verification). An armed
-#: :class:`~repro.autotune.engine.AutotuneConfig` makes the worker run
-#: the board-level remediation pipeline after the baseline simulation,
-#: and the payload gains an ``"autotune"`` decision record.
-BoardTask = Tuple[
-    int, BoardProfile, str, Optional[SystemConfig],
-    Tuple[EventSpec, ...], Optional[FaultConfig], Optional[str], int, str,
-    bool, Optional["AutotuneConfig"],
-]
+
+@dataclass(frozen=True)
+class BoardTask:
+    """One board's simulation input: primitives and frozen dataclasses
+    of primitives, hence picklable.
+
+    ``config`` is the fleet-wide base config (the profile induces the
+    board's own); ``specs`` are the placed events in arrival order;
+    ``admission`` is a policy name, or on the autotune re-run a patched
+    policy instance (names cannot carry patched watermarks). A replay-off
+    run is byte-identical to a replay-on one (the flag exists for A/B
+    verification). An armed ``autotune`` config runs the board-level
+    remediation pipeline after the baseline simulation, and the payload
+    gains an ``"autotune"`` decision record.
+    """
+
+    board: int
+    profile: BoardProfile
+    scheduler: str
+    config: Optional[SystemConfig]
+    specs: Tuple[EventSpec, ...]
+    faults: Optional[FaultConfig]
+    admission: Union[str, "AdmissionPolicy", None]
+    seed: int
+    watchdog: Optional["WatchdogConfig"]
+    mode: str
+    replay: bool
+    autotune: Optional["AutotuneConfig"]
 
 
 def derive_board_fault_config(
@@ -154,76 +168,38 @@ def simulate_board(task: BoardTask, worlds: Optional[dict] = None) -> dict:
     ``worlds`` (optional, filled in place) maps a board world to the
     replay segment map its boards share; see :func:`board_cells`.
     """
-    (board_index, profile, scheduler_name, base_config, specs,
-     fault_config, admission_policy, seed, mode, replay, autotune) = task
-    if not specs:
-        return _empty_payload(board_index, profile, mode)
-    payload, hypervisor = _board_run(
-        board_index, profile, scheduler_name, base_config, specs,
-        fault_config, admission_policy, seed, mode, replay,
-        None if admission_policy is None else WatchdogConfig(),
-        worlds=worlds,
-    )
-    if autotune is None:
+    if not task.specs:
+        return _empty_payload(task.board, task.profile, task.mode)
+    payload, hypervisor = _board_run(task, worlds)
+    if task.autotune is None:
         return payload
     # Lazily imported, so un-tuned fleets never load the pipeline.
     from repro.autotune.board import remediate_board
 
-    return remediate_board(
-        autotune,
-        payload,
-        hypervisor,
-        profile=profile,
-        scheduler_name=scheduler_name,
-        base_config=base_config,
-        specs=specs,
-        fault_config=fault_config,
-        admission_policy=admission_policy,
-        seed=seed,
-        mode=mode,
-    )
+    return remediate_board(task, payload, hypervisor)
 
 
-def _board_run(
-    board_index: int,
-    profile: BoardProfile,
-    scheduler_name: str,
-    base_config: Optional[SystemConfig],
-    specs: Tuple[EventSpec, ...],
-    fault_config: Optional[FaultConfig],
-    admission_policy,
-    seed: int,
-    mode: str,
-    replay: bool,
-    watchdog: Optional[WatchdogConfig],
-    worlds: Optional[dict] = None,
-) -> tuple:
+def _board_run(task: BoardTask, worlds: Optional[dict] = None) -> tuple:
     """One board simulation; returns (payload, hypervisor).
 
-    ``admission_policy`` may be a registry name or a materialized policy
-    instance (the autotune re-run path patches watermarks, which names
-    alone cannot carry). Patched re-runs pass exactly the watchdog the
-    verifier scored. ``worlds`` is :func:`simulate_board`'s.
+    ``worlds`` is :func:`simulate_board`'s.
     """
     from repro.experiments.runner import run_closed
     from repro.service.sketch import QuantileSketch
     from repro.sim.replay import ReplayCache
 
+    specs, profile = task.specs, task.profile
     hypervisor = run_closed(
-        scheduler_name,
-        (spec.to_request() for spec in specs),
-        label=f"board {board_index} ({profile.name})",
-        config=profile.system_config(base_config),
-        faults=fault_config,
-        admission=admission_policy,
-        seed=seed,
-        watchdog=watchdog,
-        mode=mode,
+        task.scheduler, (spec.to_request() for spec in specs),
+        label=f"board {task.board} ({profile.name})",
+        config=profile.system_config(task.config), faults=task.faults,
+        admission=task.admission, seed=task.seed, watchdog=task.watchdog,
+        mode=task.mode,
         # Fault-injected boards never replay (the cache refuses them),
         # so chaos boards stay live automatically. The closed
         # pre-submitted event list makes the engine horizon an exact
         # next-arrival bound, so no arrival hook is needed.
-        replay=ReplayCache(worlds=worlds) if replay else None,
+        replay=ReplayCache(worlds=worlds) if task.replay else None,
     )
 
     results = hypervisor.results()
@@ -247,7 +223,7 @@ def _board_run(
     ) / 1000.0
     admission = hypervisor.admission
     payload = {
-        "board": board_index,
+        "board": task.board,
         "profile": profile.to_dict(),
         "submitted": len(specs),
         "retired": len(results),
@@ -265,8 +241,8 @@ def _board_run(
         # Digests hash trace rows, which metrics mode never records; the
         # counters above stay exact either way.
         "trace_digest": (
-            trace_digest(trace, board_label(board_index))
-            if mode == "full" else None
+            trace_digest(trace, board_label(task.board))
+            if task.mode == "full" else None
         ),
     }
     return payload, hypervisor

@@ -25,12 +25,11 @@ pure function of its seed, byte-identical at any ``--jobs``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.experiments.parallel import service_cells
+from repro.experiments.parallel import ServiceCell, resolve_jobs, run_cells
 from repro.experiments.runner import ExperimentSettings
 from repro.metrics.slo import DEFAULT_SERVICE_SLO, SloTarget
-from repro.service.windows import WindowedMetrics
 
 #: The three configurations compared: (row label, admission policy,
 #: arm-the-autotuner flag).
@@ -63,24 +62,13 @@ def _submissions(settings: ExperimentSettings) -> int:
 
 
 def _evaluate_cell(payload: dict, slo: SloTarget) -> dict:
-    """Reduce one service report payload to the study's scalars."""
-    windows = WindowedMetrics.from_dict(payload["windows"])
-    active = [w for w in windows.windows if w.arrived > 0]
-    attainment = 1.0 if not active else sum(
-        1 for w in active if slo.met(w.p(99.0), w.loss_frac)
-    ) / len(active)
-    arrived = payload["arrived"]
-    lost = payload["shed"] + payload["dropped"]
+    """The ``tune`` drill's summary of one payload, plus the study's keys
+    (static rows carry no autotune log, so theirs read as empty)."""
+    from repro.facade import _service_summary
+
     return {
+        **_service_summary(payload, slo),
         "admission": payload["admission"],
-        "arrived": arrived,
-        "completed": payload["completed"],
-        "shed": payload["shed"],
-        "dropped": payload["dropped"],
-        "attainment": attainment,
-        "windows": len(active),
-        "p99_ms": windows.total().sketch.percentile(99.0),
-        "loss_frac": (lost / arrived) if arrived else 0.0,
         "applies": payload.get("applies", 0),
         "decisions": payload.get("decisions", []),
     }
@@ -100,11 +88,12 @@ def run(
 ) -> dict:
     """Run the episode under each configuration; compare SLO outcomes.
 
-    ``cache`` is accepted for registry uniformity but unused: the run
-    cache keys closed sequences, and open-loop service runs must never
-    be satisfied from it. Every row faces the *identical* seeded
-    arrival stream, so outcome differences are pure policy (or
-    remediation) effects.
+    ``cache`` contributes only its fan-out width: the run cache keys
+    closed sequences, and open-loop service runs must never be satisfied
+    from it. ``mode`` keeps the registry's uniform signature; service
+    runs store no trace rows, so it selects nothing. Every row faces the
+    *identical* seeded arrival stream, so outcome differences are pure
+    policy (or remediation) effects.
     """
     from repro.autotune import AutotuneConfig
 
@@ -116,14 +105,16 @@ def run(
     seed = settings.base_seed
     arrival_spec = ("episode", (("phases", tuple(phases)),))
     autotune = AutotuneConfig().with_slo(slo)
-    tasks = [
-        (AUTOTUNE_SCHEDULER, policy, EPISODE_RATE_PER_S, 0.0, seed,
-         per_cell, window_ms, mode, True,
-         autotune if armed else None, arrival_spec)
-        for _, policy, armed in rows
-    ]
-    jobs = jobs if jobs is not None else getattr(cache, "jobs", None)
-    payloads = service_cells(tasks, jobs=jobs)
+    payloads = run_cells(
+        [
+            ServiceCell(
+                AUTOTUNE_SCHEDULER, policy, seed, per_cell, window_ms,
+                arrivals=arrival_spec, autotune=autotune if armed else None,
+            )
+            for _, policy, armed in rows
+        ],
+        jobs=resolve_jobs(jobs, cache),
+    )
 
     cells: Dict[str, dict] = {}
     for (label, _, _), payload in zip(rows, payloads):

@@ -73,15 +73,18 @@ def run(
         scenario_sequence(STRESS, seed, settings.num_events)
         for seed in settings.seeds()
     ]
-    # One task per (slot count, sequence) cell; each cell carries its own
+    # One cell per (slot count, sequence); each cell carries its own
     # platform config, reconstructed worker-side.
-    tasks = [
-        (scheduler, sequence, SystemConfig(num_slots=slots), mode)
+    cells = [
+        parallel.ClosedCell(
+            scheduler, sequence, config=SystemConfig(num_slots=slots),
+            mode=mode,
+        )
         for slots in slot_counts
         for sequence in sequences
     ]
     runs = iter(
-        parallel.map_runs(tasks, jobs=parallel.resolve_jobs(jobs, cache))
+        parallel.run_cells(cells, jobs=parallel.resolve_jobs(jobs, cache))
     )
     means: Dict[int, float] = {}
     for slots in slot_counts:

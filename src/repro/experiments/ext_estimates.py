@@ -71,16 +71,19 @@ def run(
         scenario_sequence(STRESS, seed, settings.num_events)
         for seed in settings.seeds()
     ]
-    # Flat task list in the exact aggregation order: per error level, the
+    # Flat cell list in the exact aggregation order: per error level, the
     # baseline runs first, then each studied scheduler.
-    tasks = []
-    for error in error_levels:
-        config = SystemConfig(hls_estimation_error=error)
-        for name in ("baseline", *schedulers):
-            for sequence in sequences:
-                tasks.append((name, sequence, config, mode))
+    cells = [
+        parallel.ClosedCell(
+            name, sequence, config=SystemConfig(hls_estimation_error=error),
+            mode=mode,
+        )
+        for error in error_levels
+        for name in ("baseline", *schedulers)
+        for sequence in sequences
+    ]
     runs = iter(
-        parallel.map_runs(tasks, jobs=parallel.resolve_jobs(jobs, cache))
+        parallel.run_cells(cells, jobs=parallel.resolve_jobs(jobs, cache))
     )
     reductions: Dict[Tuple[float, str], float] = {}
     for error in error_levels:

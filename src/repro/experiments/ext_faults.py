@@ -24,15 +24,9 @@ from repro.experiments.runner import (
     ExperimentSettings,
     RunCache,
     format_table,
-    run_closed,
 )
 from repro.hypervisor.results import AppResult
-from repro.metrics.reliability import (
-    degradation_factor,
-    goodput_items_per_s,
-    recovery_times_ms,
-    work_lost_ms,
-)
+from repro.metrics.reliability import degradation_factor
 from repro.schedulers.registry import ALL_SCHEDULERS
 from repro.workload.scenarios import (
     ChaosScenario,
@@ -103,20 +97,18 @@ def run(
         for seed in settings.seeds()
     ]
     seeds = settings.seeds()
-    tasks = [
-        (
-            scheduler,
-            sequence,
-            scenario.fault_config(rate, seed=seeds[index]),
-            config,
-        )
-        for scheduler in schedulers
-        for rate in rates
-        for index, sequence in enumerate(sequences)
-    ]
-    cells = iter(
-        parallel.chaos_cells(tasks, jobs=parallel.resolve_jobs(jobs, cache))
-    )
+    cells = iter(parallel.run_cells(
+        [
+            parallel.ClosedCell(
+                scheduler, sequence, reduce=parallel.chaos, config=config,
+                faults=scenario.fault_config(rate, seed=seeds[index]),
+            )
+            for scheduler in schedulers
+            for rate in rates
+            for index, sequence in enumerate(sequences)
+        ],
+        jobs=parallel.resolve_jobs(jobs, cache),
+    ))
     for scheduler in schedulers:
         reference: List[List[AppResult]] = []
         for rate in rates:
@@ -212,6 +204,8 @@ def chaos_report(
     fault-free run of the same stimuli (so ``--fault-rate 0`` reads as
     exactly 1.00 degradation with zero faults).
     """
+    from repro.experiments import parallel
+
     scenario = chaos_scenario(scenario_name)
     workload = next(
         (s for s in SCENARIOS if s.name == workload_name), None
@@ -227,26 +221,22 @@ def chaos_report(
                "MTTR (ms)", "work lost (ms)", "faults"]
     rows: List[List[object]] = []
     for scheduler in schedulers:
-        clean = run_closed(
-            scheduler, sequence.to_requests(), label=sequence.label
-        )
-        chaos = run_closed(
-            scheduler, sequence.to_requests(), label=sequence.label,
-            faults=fault_config,
-        )
-        trace = chaos.trace
-        mttr_values = recovery_times_ms(trace)
+        clean = parallel.ClosedCell(scheduler, sequence).run()
+        chaos = parallel.ClosedCell(
+            scheduler, sequence, reduce=parallel.chaos, faults=fault_config,
+        ).run()
+        mttr_values = chaos.recovery_times_ms
         mttr = (
             f"{sum(mttr_values) / len(mttr_values):.1f}"
             if mttr_values else "n/a"
         )
         rows.append([
             scheduler,
-            degradation_factor(clean.results(), chaos.results()),
-            goodput_items_per_s(trace),
+            degradation_factor(clean, chaos.results),
+            chaos.goodput_items_per_s,
             mttr,
-            work_lost_ms(trace),
-            chaos.fault_stats.total_faults,
+            chaos.work_lost_ms,
+            chaos.total_faults,
         ])
     title = (
         f"Chaos drill: scenario={scenario.name} fault_rate={fault_rate:g} "

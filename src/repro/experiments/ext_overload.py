@@ -13,9 +13,10 @@ evicting or right-sizing work instead of queueing it. The SLO table at
 the top rate adds the cost side: admission ratio, drops, shed count,
 goodput under overload, starvation index and watchdog activity.
 
-Every cell runs through :func:`repro.experiments.parallel.overload_cells`
-— deliberately outside :class:`~repro.experiments.runner.RunCache`, whose
-keys do not include the admission policy.
+Every cell is a :class:`repro.experiments.parallel.ClosedCell` with the
+``overload`` reducer — deliberately outside
+:class:`~repro.experiments.runner.RunCache`, whose keys do not include
+the admission policy.
 """
 
 from __future__ import annotations
@@ -24,14 +25,13 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.admission import ADMISSION_POLICIES, WatchdogConfig
+from repro.admission import ADMISSION_POLICIES
 from repro.config import SystemConfig
 from repro.errors import ExperimentError
 from repro.experiments.runner import (
     ExperimentSettings,
     RunCache,
     format_table,
-    run_closed,
 )
 from repro.hypervisor.results import AppResult
 from repro.metrics.slo import p99_response_ms
@@ -172,17 +172,18 @@ def run(
         ]
         for rate in rates
     }
-    tasks = [
-        (scheduler, sequence, policy, seeds[index], None, config)
-        for policy in policies
-        for rate in rates
-        for index, sequence in enumerate(sequences[rate])
-    ]
-    cells = iter(
-        parallel.overload_cells(
-            tasks, jobs=parallel.resolve_jobs(jobs, cache)
-        )
-    )
+    cells = iter(parallel.run_cells(
+        [
+            parallel.ClosedCell(
+                scheduler, sequence, reduce=parallel.overload, config=config,
+                admission=policy, seed=seeds[index],
+            )
+            for policy in policies
+            for rate in rates
+            for index, sequence in enumerate(sequences[rate])
+        ],
+        jobs=parallel.resolve_jobs(jobs, cache),
+    ))
 
     p99_all: Dict[Tuple[str, float], float] = {}
     admission: Dict[Tuple[str, float], float] = {}
@@ -342,7 +343,7 @@ def overload_report(
     (:data:`OVERLOAD_WORKLOAD`); the paper's congestion scenarios are
     accepted by name too.
     """
-    from repro.metrics.slo import slo_report
+    from repro.experiments import parallel
 
     if workload_name == OVERLOAD_WORKLOAD.name:
         workload = OVERLOAD_WORKLOAD
@@ -365,19 +366,17 @@ def overload_report(
                "shed", "goodput (items/s)", "starvation", "wd kicks"]
     rows: List[List[object]] = []
     for policy in policies:
-        calm_results = run_closed(
-            scheduler, calm.to_requests(), label=calm.label,
-            admission=policy, seed=seed, watchdog=WatchdogConfig(),
-        ).results()
-        hot_run = run_closed(
-            scheduler, hot.to_requests(), label=hot.label,
-            admission=policy, seed=seed, watchdog=WatchdogConfig(),
-        )
-        results = hot_run.results()
+        calm_results = parallel.ClosedCell(
+            scheduler, calm, admission=policy, seed=seed,
+        ).run()
+        report = parallel.ClosedCell(
+            scheduler, hot, reduce=parallel.overload, admission=policy,
+            seed=seed,
+        ).run()
+        results = list(report.results)
         high = max(
             (r.priority for r in calm_results + results), default=0
         )
-        report = slo_report(hot_run.trace, results)
         base = p99_response_ms(calm_results, high)
         p99 = p99_response_ms(results, high)
         ratio = (

@@ -20,10 +20,10 @@ shedding stays inside the loss budget.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import ExperimentError
-from repro.experiments.parallel import ServiceTask, service_cells
+from repro.experiments.parallel import ServiceCell, resolve_jobs, run_cells
 from repro.experiments.runner import ExperimentSettings
 from repro.metrics.slo import DEFAULT_SERVICE_SLO, SloTarget
 from repro.service.loop import format_report
@@ -95,12 +95,13 @@ def run(
 ) -> dict:
     """Sweep rate x scheduler x policy service runs; derive capacities.
 
-    ``cache`` is accepted for registry uniformity but unused: the run
-    cache keys closed sequences, and open-loop service runs must never
-    be satisfied from it. Each rate uses one seed (derived from
-    ``settings.base_seed``), so every scheduler/policy faces the
-    *identical* arrival stream at that rate — capacity differences are
-    pure scheduling/admission effects.
+    ``cache`` contributes only its fan-out width: the run cache keys
+    closed sequences, and open-loop service runs must never be satisfied
+    from it. ``mode`` keeps the registry's uniform signature; service
+    runs store no trace rows, so it selects nothing. Each rate uses one
+    seed (derived from ``settings.base_seed``), so every scheduler/policy
+    faces the *identical* arrival stream at that rate — capacity
+    differences are pure scheduling/admission effects.
     """
     settings = settings or ExperimentSettings.from_env()
     if not rates or list(rates) != sorted(rates):
@@ -111,24 +112,22 @@ def run(
     per_cell = submissions if submissions is not None else _submissions(
         settings
     )
-    tasks: List[ServiceTask] = []
-    for rate_index, rate in enumerate(rates):
-        seed = settings.base_seed + rate_index
-        for scheduler in schedulers:
-            for policy in policies:
-                tasks.append(
-                    (scheduler, policy, rate, 0.0, seed, per_cell,
-                     window_ms, mode)
-                )
-    jobs = jobs if jobs is not None else getattr(cache, "jobs", None)
-    payloads = service_cells(tasks, jobs=jobs)
+    grid = [
+        ServiceCell(
+            scheduler, policy, settings.base_seed + rate_index, per_cell,
+            window_ms, rate=rate,
+        )
+        for rate_index, rate in enumerate(rates)
+        for scheduler in schedulers
+        for policy in policies
+    ]
+    payloads = run_cells(grid, jobs=resolve_jobs(jobs, cache))
 
     cells: Dict[str, dict] = {}
-    for task, payload in zip(tasks, payloads):
-        scheduler, policy, rate = task[0], task[1], task[2]
+    for spec, payload in zip(grid, payloads):
         cell = _evaluate_cell(payload, slo)
-        cell["rate_per_s"] = rate
-        cells[f"{scheduler}|{policy}|{rate:g}"] = cell
+        cell["rate_per_s"] = spec.rate
+        cells[f"{spec.scheduler}|{spec.admission}|{spec.rate:g}"] = cell
 
     capacity: Dict[str, Dict[str, float]] = {}
     for scheduler in schedulers:
@@ -205,7 +204,6 @@ def serve_report(
     admission: str = "shed",
     seed: int = 1,
     jobs: Optional[int] = None,
-    mode: str = "full",
     replay: bool = True,
 ) -> str:
     """The one-shot ``nimblock-repro serve`` drill.
@@ -215,11 +213,15 @@ def serve_report(
     the text is byte-identical at any ``jobs`` count, which the
     ``determinism`` CI job's ``serve`` entry diffs.
     """
-    tasks: List[ServiceTask] = [
-        (scheduler, admission, rate, burstiness, seed, submissions,
-         window_ms, mode, replay)
-        for scheduler in schedulers
-    ]
-    payloads = service_cells(tasks, jobs=jobs)
+    payloads = run_cells(
+        [
+            ServiceCell(
+                scheduler, admission, seed, submissions, window_ms,
+                rate=rate, burstiness=burstiness, replay=replay,
+            )
+            for scheduler in schedulers
+        ],
+        jobs=jobs,
+    )
     blocks = [format_report(payload) for payload in payloads]
     return "\n\n".join(blocks)

@@ -1,22 +1,22 @@
-"""Parallel sweep executor: fan simulation runs out over worker processes.
+"""Parallel sweep executor: fan simulation cells out over worker processes.
 
 The simulation engine is single-threaded and fully deterministic, so a
-(scheduler, sequence, config) run is a pure function of its inputs — the
-ideal unit for process-level fan-out. This module provides the shared
-machinery behind :meth:`RunCache.prewarm` and the jobs-aware experiment
-modules:
+run is a pure function of its inputs — the ideal unit for process-level
+fan-out. A *cell* is one such run, frozen and picklable, whose
+``run()`` returns what crosses the process boundary (traces never do):
 
-* :func:`map_runs` — fan plain ``run_sequence`` tasks out, results in
-  task order;
-* :func:`chaos_cells` — the fault-injection equivalent: each worker runs
-  one chaos simulation and reduces its trace to the reliability scalars
-  the studies aggregate (traces themselves never cross the process
-  boundary);
-* :func:`fanout` — the generic deterministic scatter/gather both build on.
+* :class:`ClosedCell` — one :func:`~repro.experiments.runner.run_closed`
+  board run plus a named reducer: :func:`results`, :func:`chaos`,
+  :func:`overload` or :func:`snapshot`;
+* :class:`ServiceCell` — one open-loop service run, reduced to its
+  report payload;
+* :func:`run_cells` — fan any mix of cells out, outcomes in cell order;
+* :func:`fanout` — the generic deterministic scatter/gather beneath it
+  (the cluster shard fans boards out through it too).
 
-Determinism contract: workers are stateless, tasks are partitioned into
-contiguous chunks that are a pure function of (task count, worker count),
-and results are gathered in task order — so for identical inputs the
+Determinism contract: workers are stateless, cells are partitioned into
+contiguous chunks that are a pure function of (cell count, worker count),
+and outcomes are gathered in cell order — so for identical inputs the
 returned lists are identical whatever ``jobs`` is, including ``jobs=1``
 (which short-circuits to in-process execution through the *same* worker
 function, keeping one code path for serial and parallel aggregation).
@@ -26,28 +26,24 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from typing import (
+    TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, TypeVar, Union,
+)
 
 from repro.config import SystemConfig
 from repro.errors import ExperimentError
-from repro.experiments.runner import _env_int, run_closed, run_sequence
+from repro.experiments.runner import _env_int, run_closed
 from repro.faults.models import FaultConfig
 from repro.hypervisor.results import AppResult
 from repro.workload.events import EventSequence
 
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.autotune.engine import AutotuneConfig
+    from repro.hypervisor.hypervisor import Hypervisor
+    from repro.observe.instrument import Instrumentation
+
 _Task = TypeVar("_Task")
 _Result = TypeVar("_Result")
-
-#: A plain simulation task: (scheduler name, stimulus, platform config,
-#: run mode). Chaos/overload/observed tasks have no mode leg: their
-#: workers reduce *trace rows* to scalars, which only mode="full"
-#: records.
-RunTask = Tuple[str, EventSequence, Optional[SystemConfig], str]
-
-#: A chaos task: (scheduler, stimulus, fault config, platform config).
-ChaosTask = Tuple[
-    str, EventSequence, Optional[FaultConfig], Optional[SystemConfig]
-]
 
 
 def effective_jobs(jobs: Optional[int] = None) -> int:
@@ -68,10 +64,9 @@ def resolve_jobs(jobs: Optional[int], cache=None) -> int:
     return effective_jobs(None)
 
 
-def _simulate(task: RunTask) -> List[AppResult]:
-    """Worker: one plain simulation run (top-level for pickling)."""
-    scheduler_name, sequence, config, mode = task
-    return run_sequence(scheduler_name, sequence, config, mode)
+def results(hypervisor: "Hypervisor") -> List[AppResult]:
+    """Reducer (top-level, so cells pickle it by name): the results."""
+    return hypervisor.results()
 
 
 @dataclass(frozen=True)
@@ -85,24 +80,14 @@ class ChaosCell:
     total_faults: int
 
 
-def _simulate_chaos(task: ChaosTask) -> ChaosCell:
-    """Worker: one fault-injected run plus its trace-derived scalars.
-
-    The seeded fault RNG streams live in the injector, which is built
-    inside the worker from the (picklable) ``FaultConfig`` — identical
-    reconstruction to the serial path, hence identical draws.
-    """
+def chaos(hypervisor: "Hypervisor") -> ChaosCell:
+    """A fault-injected run plus its trace-derived reliability scalars."""
     from repro.metrics.reliability import (
         goodput_items_per_s,
         recovery_times_ms,
         work_lost_ms,
     )
 
-    scheduler_name, sequence, fault_config, config = task
-    hypervisor = run_closed(
-        scheduler_name, sequence.to_requests(), label=sequence.label,
-        config=config, faults=fault_config,
-    )
     trace = hypervisor.trace
     return ChaosCell(
         results=tuple(hypervisor.results()),
@@ -143,30 +128,6 @@ def fanout(
         )
 
 
-def map_runs(
-    tasks: Sequence[RunTask], jobs: Optional[int] = None
-) -> List[List[AppResult]]:
-    """Fan plain simulation tasks out; one result list per task, in order."""
-    return fanout(_simulate, tasks, jobs=jobs)
-
-
-def chaos_cells(
-    tasks: Sequence[ChaosTask], jobs: Optional[int] = None
-) -> List[ChaosCell]:
-    """Fan fault-injected simulation tasks out, in task order."""
-    return fanout(_simulate_chaos, tasks, jobs=jobs)
-
-
-#: An overload task: (scheduler, stimulus, admission policy name, seed,
-#: fault config, platform config). The controller/watchdog pair is built
-#: inside the worker from the picklable (policy name, seed) — identical
-#: reconstruction to the serial path, hence identical retry jitter draws.
-OverloadTask = Tuple[
-    str, EventSequence, str, int, Optional[FaultConfig],
-    Optional[SystemConfig],
-]
-
-
 @dataclass(frozen=True)
 class OverloadCell:
     """One admission-controlled run reduced to its SLO scalars.
@@ -188,21 +149,14 @@ class OverloadCell:
     watchdog_kicks: int
 
 
-def _simulate_overload(task: OverloadTask) -> OverloadCell:
-    """Worker: one overload run plus its trace-derived SLO scalars."""
-    from repro.admission.watchdog import WatchdogConfig
+def overload(hypervisor: "Hypervisor") -> OverloadCell:
+    """An overload run plus its trace-derived SLO scalars."""
     from repro.metrics.slo import slo_report
 
-    scheduler_name, sequence, policy, seed, fault_config, config = task
-    hypervisor = run_closed(
-        scheduler_name, sequence.to_requests(), label=sequence.label,
-        config=config, faults=fault_config, admission=policy, seed=seed,
-        watchdog=WatchdogConfig(),
-    )
-    results = hypervisor.results()
-    report = slo_report(hypervisor.trace, results)
+    run_results = hypervisor.results()
+    report = slo_report(hypervisor.trace, run_results)
     return OverloadCell(
-        results=tuple(results),
+        results=tuple(run_results),
         admission_ratio=report.admission_ratio,
         drops=report.drops,
         shed=report.shed,
@@ -215,109 +169,107 @@ def _simulate_overload(task: OverloadTask) -> OverloadCell:
     )
 
 
-def overload_cells(
-    tasks: Sequence[OverloadTask], jobs: Optional[int] = None
-) -> List[OverloadCell]:
-    """Fan admission-controlled simulation tasks out, in task order.
+def snapshot(hypervisor: "Hypervisor") -> dict:
+    """The observer's metrics snapshot (merges associatively)."""
+    return hypervisor.observer.snapshot()
 
-    Deliberately cache-free: :class:`RunCache` keys do not include the
-    admission policy, so overload cells must never be satisfied from (or
-    recorded into) the plain-run cache.
+
+@dataclass(frozen=True)
+class ClosedCell:
+    """One closed board run, reduced by ``reduce`` inside the worker.
+
+    Every field is picklable, so a worker rebuilds exactly what a serial
+    run builds — fault injector, admission controller and watchdog
+    included — hence identical seeded draws at any ``jobs``.
     """
-    return fanout(_simulate_overload, tasks, jobs=jobs)
 
+    scheduler: str
+    sequence: EventSequence
+    reduce: Callable[["Hypervisor"], object] = results
+    config: Optional[SystemConfig] = None
+    faults: Optional[FaultConfig] = None
+    admission: Optional[str] = None
+    seed: int = 0
+    mode: str = "full"
 
-#: An observed task: (scheduler, stimulus, fault config, platform config,
-#: admission policy name or None, admission seed).
-ObservedTask = Tuple[
-    str, EventSequence, Optional[FaultConfig], Optional[SystemConfig],
-    Optional[str], int,
-]
+    def run(self) -> object:
+        observer = None
+        if self.reduce is snapshot:  # the one reducer that reads it
+            from repro.observe.instrument import Instrumentation
 
+            observer = Instrumentation()
+        return self.reduce(self.hypervisor(observer))
 
-def _simulate_observed(task: ObservedTask) -> dict:
-    """Worker: one instrumented run reduced to its metrics snapshot.
+    def hypervisor(
+        self, observer: Optional["Instrumentation"] = None
+    ) -> "Hypervisor":
+        """The finished run, ``observer`` attached and then finalized.
 
-    Snapshots are plain dicts of trace-derived (deterministic) metrics, so
-    they cross the process boundary cheaply and merge associatively on the
-    gather side — the contract behind ``stats --jobs N`` determinism.
-    """
-    from repro.observe.aggregate import observed_run
+        A watchdog rides along iff admission does: the overload-tier
+        pairing of every study, drill and observed run.
+        """
+        from repro.admission.watchdog import WatchdogConfig
 
-    scheduler_name, sequence, fault_config, config, admission, seed = task
-    _, observer = observed_run(
-        scheduler_name, sequence, fault_config, config=config,
-        admission=admission, seed=seed,
-    )
-    return observer.snapshot()
-
-
-def observed_snapshots(
-    tasks: Sequence[ObservedTask], jobs: Optional[int] = None
-) -> List[dict]:
-    """Fan instrumented simulation tasks out; one snapshot each, in order."""
-    return fanout(_simulate_observed, tasks, jobs=jobs)
-
-
-#: A service task: (scheduler, admission policy name, arrival rate /s,
-#: burstiness, seed, max submissions, window ms, run mode). The arrival
-#: process, controller and watchdog are all rebuilt inside the worker
-#: from these picklable scalars — identical reconstruction to the serial
-#: path, so the returned report payloads are byte-identical at any jobs
-#: count (and, since the payload carries no rows, at either run mode).
-#: Trailing legs are optional (8-tuples from older callers still work):
-#: [8] replay flag (default True — byte-identical either way); [9] an
-#: :class:`~repro.autotune.engine.AutotuneConfig` (frozen, picklable) or
-#: None; [10] an arrival-process override as a picklable ``(kind,
-#: knob-pairs)`` tuple — e.g. ``("episode", (("phases", ((60.0, 1.0),
-#: (120.0, 4.0))),))`` — replacing the default rate/burstiness process
-#: (whose two scalars are then ignored).
-ServiceTask = Tuple[str, str, float, float, int, int, float, str, bool]
-
-
-def _simulate_service(task: ServiceTask) -> dict:
-    """Worker: one open-loop service run reduced to its report payload.
-
-    The payload is :meth:`repro.service.loop.ServiceReport.to_dict` — a
-    plain dict whose windowed metrics merge associatively on the gather
-    side; neither the trace nor per-app state ever crosses the process
-    boundary (the loop discards both as it runs).
-    """
-    from repro.service.loop import ServiceLoop
-    from repro.workload.arrivals import make_arrivals, service_rate_process
-
-    (scheduler, admission, rate, burstiness, seed, submissions,
-     window_ms, mode) = task[:8]
-    replay = task[8] if len(task) > 8 else True
-    autotune = task[9] if len(task) > 9 else None
-    arrival_spec = task[10] if len(task) > 10 else None
-    if arrival_spec is None:
-        arrivals = service_rate_process(
-            rate, seed=seed, burstiness=burstiness
+        hypervisor = run_closed(
+            self.scheduler, self.sequence.to_requests(),
+            label=self.sequence.label, config=self.config,
+            faults=self.faults, admission=self.admission, seed=self.seed,
+            watchdog=None if self.admission is None else WatchdogConfig(),
+            observer=observer, mode=self.mode,
         )
-    else:
-        kind, knob_pairs = arrival_spec
-        arrivals = make_arrivals(kind, seed=seed, **dict(knob_pairs))
-    loop = ServiceLoop(
-        arrivals,
-        scheduler=scheduler,
-        admission=admission,
-        seed=seed,
-        max_submissions=submissions,
-        window_ms=window_ms,
-        mode=mode,
-        replay=replay,
-        autotune=autotune,
-    )
-    return loop.run().to_dict()
+        if observer is not None:
+            observer.finalize(hypervisor)
+        return hypervisor
 
 
-def service_cells(
-    tasks: Sequence[ServiceTask], jobs: Optional[int] = None
-) -> List[dict]:
-    """Fan open-loop service runs out; report payloads in task order.
+@dataclass(frozen=True)
+class ServiceCell:
+    """One open-loop service run, reduced to its
+    :meth:`~repro.service.loop.ServiceReport.to_dict` payload. Service
+    runs store no trace rows, so a service cell has no run mode."""
 
-    Cache-free like :func:`overload_cells`: the run cache keys closed
-    sequences, not open-loop streams.
-    """
-    return fanout(_simulate_service, tasks, jobs=jobs)
+    scheduler: str
+    admission: str
+    seed: int
+    submissions: int
+    window_ms: float
+    rate: float = 0.0
+    burstiness: float = 0.0
+    #: Arrival-process override as a picklable ``(kind, knob-pairs)``
+    #: tuple, e.g. ``("episode", (("phases", ((60.0, 1.0),)),))``. When
+    #: set, ``rate`` and ``burstiness`` are ignored.
+    arrivals: Optional[Tuple[str, tuple]] = None
+    replay: bool = True
+    autotune: Optional["AutotuneConfig"] = None
+
+    def run(self) -> dict:
+        from repro.service.loop import ServiceLoop
+        from repro.workload.arrivals import make_arrivals, service_rate_process
+
+        if self.arrivals is None:
+            arrivals = service_rate_process(
+                self.rate, seed=self.seed, burstiness=self.burstiness
+            )
+        else:
+            kind, knob_pairs = self.arrivals
+            arrivals = make_arrivals(kind, seed=self.seed, **dict(knob_pairs))
+        return ServiceLoop(
+            arrivals, scheduler=self.scheduler, admission=self.admission,
+            seed=self.seed, max_submissions=self.submissions,
+            window_ms=self.window_ms, replay=self.replay,
+            autotune=self.autotune,
+        ).run().to_dict()
+
+
+def _run(cell: Union[ClosedCell, ServiceCell]) -> object:
+    """Worker: one cell (top-level for pickling)."""
+    return cell.run()
+
+
+def run_cells(
+    cells: Sequence[Union[ClosedCell, ServiceCell]],
+    jobs: Optional[int] = None,
+) -> list:
+    """Fan cells out; one reduced outcome per cell, in cell order.
+    Cache-free: only ``RunCache.prewarm`` stores (plain ``results``)."""
+    return fanout(_run, cells, jobs=jobs)

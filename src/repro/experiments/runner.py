@@ -378,13 +378,15 @@ class RunCache:
                 pending.append((key, name, sequence))
         if not pending:
             return 0
-        effective = jobs if jobs is not None else self.jobs
-        tasks = [
-            (name, sequence, self.config, self.mode)
+        cells = [
+            parallel.ClosedCell(
+                name, sequence, config=self.config, mode=self.mode
+            )
             for _, name, sequence in pending
         ]
         for (key, name, sequence), results in zip(
-            pending, parallel.map_runs(tasks, jobs=effective)
+            pending,
+            parallel.run_cells(cells, jobs=parallel.resolve_jobs(jobs, self)),
         ):
             self.simulations += 1
             self._runs[key] = results

@@ -129,9 +129,8 @@ def serve(
     submission count. Returns the
     :class:`~repro.service.loop.ServiceReport` (streaming windowed
     metrics, lifetime counters, any quiescent-boundary snapshots).
-    ``mode`` is validated and echoed in the report, but every service
-    run stores no trace rows, so the payload is byte-identical either
-    way.
+    ``mode`` is validated and ignored: every service run stores no
+    trace rows, so the payload is byte-identical either way.
 
     >>> from repro import serve
     >>> report = serve("nimblock", rate=1.0, submissions=50)
@@ -162,21 +161,17 @@ def _service_summary(payload: dict, slo) -> dict:
     from repro.service.windows import WindowedMetrics
 
     windows = WindowedMetrics.from_dict(payload["windows"])
-    active = [w for w in windows.windows if w.arrived > 0]
-    attainment = 1.0 if not active else sum(
-        1 for w in active if slo.met(w.p(99.0), w.loss_frac)
-    ) / len(active)
     arrived = payload["arrived"]
     lost = payload["shed"] + payload["dropped"]
     summary = {
-        "attainment": attainment,
+        "attainment": windows.slo_attainment(slo),
         "p99_ms": windows.total().sketch.percentile(99.0),
         "loss_frac": (lost / arrived) if arrived else 0.0,
         "arrived": arrived,
         "completed": payload["completed"],
         "shed": payload["shed"],
         "dropped": payload["dropped"],
-        "windows": len(active),
+        "windows": sum(w.arrived > 0 for w in windows.windows),
     }
     if "applies" in payload:
         summary["applies"] = payload["applies"]
@@ -218,7 +213,6 @@ def tune(
     submissions: int = 600,
     window_ms: float = 10_000.0,
     jobs: Optional[int] = None,
-    mode: str = "full",
     autotune=None,
 ) -> dict:
     """The closed-loop remediation drill: static baseline vs autotuned.
@@ -228,8 +222,8 @@ def tune(
     then ``recover_s`` seconds back at ``rate`` — through two
     :class:`~repro.service.loop.ServiceLoop` runs that differ only in
     whether the :mod:`repro.autotune` pipeline is armed. Both runs fan
-    out through :func:`~repro.experiments.parallel.service_cells`, so
-    the returned payload is byte-identical at any ``jobs`` count.
+    out through :func:`~repro.experiments.parallel.run_cells`, so the
+    returned payload is byte-identical at any ``jobs`` count.
 
     Returns a JSON-safe dict: the episode parameters, the SLO, a
     ``baseline`` and a ``tuned`` summary (attainment / p99 / loss, plus
@@ -241,7 +235,7 @@ def tune(
     import json
 
     from repro.autotune import AutotuneConfig
-    from repro.experiments.parallel import service_cells
+    from repro.experiments.parallel import ServiceCell, run_cells
 
     if autotune is None:
         autotune = AutotuneConfig()
@@ -251,13 +245,15 @@ def tune(
         (burst_s, rate * burst_multiplier),
         (recover_s, rate),
     )
-    arrival_spec = ("episode", (("phases", phases),))
-    base = (
-        scheduler, admission, rate, 0.0, seed, submissions, window_ms,
-        mode, True,
-    )
-    baseline_payload, tuned_payload = service_cells(
-        [base + (None, arrival_spec), base + (autotune, arrival_spec)],
+    arrivals = ("episode", (("phases", phases),))
+    baseline_payload, tuned_payload = run_cells(
+        [
+            ServiceCell(
+                scheduler, admission, seed, submissions, window_ms,
+                arrivals=arrivals, autotune=armed,
+            )
+            for armed in (None, autotune)
+        ],
         jobs=jobs,
     )
     payload = {
@@ -307,7 +303,6 @@ def tune_report(
     window_ms: float = 10_000.0,
     jobs: Optional[int] = None,
     as_json: bool = False,
-    mode: str = "full",
 ) -> str:
     """The ``repro tune`` drill as deterministic text (or JSON).
 
@@ -328,7 +323,6 @@ def tune_report(
         submissions=submissions,
         window_ms=window_ms,
         jobs=jobs,
-        mode=mode,
     )
     if as_json:
         return json.dumps(payload, sort_keys=True) + "\n"

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from repro.admission.watchdog import WatchdogConfig
 from repro.config import SystemConfig
 from repro.faults.models import FaultConfig
 from repro.observe.instrument import Instrumentation
@@ -26,7 +25,7 @@ from repro.observe.metrics import merge_snapshots
 from repro.workload.events import EventSequence
 
 if TYPE_CHECKING:
-    from repro.experiments.parallel import ObservedTask
+    from repro.hypervisor.hypervisor import Hypervisor
 
 
 def observed_run(
@@ -52,16 +51,13 @@ def observed_run(
     overload/shed/watchdog counters in the snapshot; shed or dropped
     applications then legally reduce the retired count.
     """
-    from repro.experiments.runner import run_closed
+    from repro.experiments.parallel import ClosedCell
 
     observer = Instrumentation(profile=profile)
-    hypervisor = run_closed(
-        scheduler_name, sequence.to_requests(), label=sequence.label,
-        config=config, faults=fault_config, admission=admission, seed=seed,
-        watchdog=None if admission is None else WatchdogConfig(),
-        observer=observer, mode=mode,
-    )
-    observer.finalize(hypervisor)
+    hypervisor = ClosedCell(
+        scheduler_name, sequence, config=config, faults=fault_config,
+        admission=admission, seed=seed, mode=mode,
+    ).hypervisor(observer)
     return hypervisor, observer
 
 
@@ -82,12 +78,17 @@ def collect_snapshots(
     """
     from repro.experiments import parallel
 
-    tasks: List[ObservedTask] = [
-        (name, sequence, fault_config, config, admission, seed)
-        for name in schedulers
-        for sequence in sequences
-    ]
-    return parallel.observed_snapshots(tasks, jobs=jobs)
+    return parallel.run_cells(
+        [
+            parallel.ClosedCell(
+                name, sequence, reduce=parallel.snapshot, config=config,
+                faults=fault_config, admission=admission, seed=seed,
+            )
+            for name in schedulers
+            for sequence in sequences
+        ],
+        jobs=jobs,
+    )
 
 
 def collect_metrics(

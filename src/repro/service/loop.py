@@ -100,14 +100,8 @@ class ServiceReport:
     windows: WindowedMetrics
     snapshots: List[dict] = field(default_factory=list)
     wall_s: float = 0.0
-    #: Run mode the loop was asked for. It selects nothing (every loop
-    #: runs a rowless trace) and, like ``wall_s``, is excluded from
-    #: :meth:`to_dict` — the deterministic payload is identical across
-    #: modes (and across ``--jobs``), which is exactly what the
-    #: ``serve`` entry of the ``determinism`` CI job diffs.
-    mode: str = "full"
     #: Macro-event replay cache counters. Excluded from :meth:`to_dict`
-    #: like ``wall_s``/``mode``: replay is a pure execution strategy, so
+    #: like ``wall_s``: replay is a pure execution strategy, so
     #: the deterministic payload must not depend on whether (or how
     #: often) it engaged — that independence is what the replay A/B CI
     #: diff asserts.
@@ -137,15 +131,8 @@ class ServiceReport:
         return self.totals().sketch.percentile(pct)
 
     def slo_attainment(self, target) -> float:
-        """Fraction of non-empty windows meeting a
-        :class:`~repro.metrics.slo.SloTarget` (1.0 with no windows)."""
-        windows = [w for w in self.windows.windows if w.arrived > 0]
-        if not windows:
-            return 1.0
-        met = sum(
-            1 for w in windows if target.met(w.p(99.0), w.loss_frac)
-        )
-        return met / len(windows)
+        """See :meth:`WindowedMetrics.slo_attainment`."""
+        return self.windows.slo_attainment(target)
 
     # -- serialization and rendering ------------------------------------
     @property
@@ -251,8 +238,7 @@ class ServiceLoop:
     A loop instance runs exactly once (:meth:`run`); resuming from a
     snapshot builds a *new* loop via :meth:`resume`. See the module
     docstring for the O(1)-memory mechanics. ``mode`` is validated and
-    reported in :attr:`ServiceReport.mode`, but selects nothing: the
-    hypervisor always runs metrics mode (no trace rows).
+    ignored: the hypervisor always runs metrics mode (no trace rows).
     """
 
     def __init__(
@@ -299,7 +285,9 @@ class ServiceLoop:
         #: Admission knob overrides, kept for the autotuner's baseline
         #: :class:`~repro.autotune.proposals.TunableConfig` capture.
         self.admission_knobs = dict(admission_knobs or {})
-        self.mode = normalize_mode(mode)
+        # Validated only; kept because callers such as perfbench's
+        # serve workload still pass it.
+        normalize_mode(mode)
         self.seed = seed
         self.max_submissions = max_submissions
         self.horizon_ms = horizon_ms
@@ -652,7 +640,6 @@ class ServiceLoop:
             windows=self.windows,
             snapshots=self.snapshots,
             wall_s=wall_s,
-            mode=self.mode,
             replay_hits=self.replay_hits,
             replay_misses=self.replay_misses,
             autotuned=self._tuner is not None,

@@ -237,6 +237,15 @@ class WindowedMetrics:
         """Run-total aggregate across every window."""
         return WindowStats.combined(self.windows, alpha=self.alpha)
 
+    def slo_attainment(self, target) -> float:
+        """Share of windows with arrivals whose p99 and loss meet a
+        :class:`~repro.metrics.slo.SloTarget` (1.0 with no such window)."""
+        active = [w for w in self.windows if w.arrived > 0]
+        if not active:
+            return 1.0
+        met = sum(1 for w in active if target.met(w.p(99.0), w.loss_frac))
+        return met / len(active)
+
     # -- merging and serialization --------------------------------------
     def merge(self, other: "WindowedMetrics") -> "WindowedMetrics":
         """Pointwise-merge another shard's windows into self (exact)."""

@@ -33,7 +33,7 @@ from repro.autotune import (
 )
 from repro.errors import AutotuneError, ServiceError
 from repro.experiments import ext_overload
-from repro.experiments.parallel import service_cells
+from repro.experiments.parallel import ServiceCell, run_cells
 from repro.facade import tune, tune_report
 from repro.metrics.slo import SloTarget
 
@@ -300,7 +300,7 @@ class TestVerifier:
 @pytest.fixture(scope="module")
 def drill():
     """The acceptance drill: 4x burst episode, unbounded start, armed."""
-    return tune(rate=1.0, submissions=600, seed=1, mode="metrics", jobs=1)
+    return tune(rate=1.0, submissions=600, seed=1, jobs=1)
 
 
 class TestEndToEndDrill:
@@ -354,19 +354,19 @@ EPISODE_SPEC = (
 
 def service_task(*, armed, replay=True, submissions=240,
                  arrival=EPISODE_SPEC):
-    autotune = AutotuneConfig() if armed else None
-    return ("nimblock", "unbounded", 2.0, 0.0, 1, submissions,
-            10_000.0, "metrics", replay, autotune, arrival)
+    return ServiceCell(
+        "nimblock", "unbounded", 1, submissions, 10_000.0,
+        arrivals=arrival, replay=replay,
+        autotune=AutotuneConfig() if armed else None,
+    )
 
 
 class TestDeterminism:
     def test_jobs_identity(self, drill):
-        assert drill == tune(
-            rate=1.0, submissions=600, seed=1, mode="metrics", jobs=2
-        )
+        assert drill == tune(rate=1.0, submissions=600, seed=1, jobs=2)
 
     def test_replay_flag_identity_when_armed(self):
-        on, off = service_cells(
+        on, off = run_cells(
             [service_task(armed=True, replay=True),
              service_task(armed=True, replay=False)],
             jobs=1,
@@ -375,7 +375,7 @@ class TestDeterminism:
 
     def test_armed_but_quiet_matches_plain_payload(self):
         calm = ("poisson", (("rate_per_s", 0.2),))
-        armed, plain = service_cells(
+        armed, plain = run_cells(
             [service_task(armed=True, submissions=40, arrival=calm),
              service_task(armed=False, submissions=40, arrival=calm)],
             jobs=1,
@@ -390,13 +390,10 @@ class TestDeterminism:
 
     def test_tune_report_json_matches_payload(self):
         text = tune_report(
-            rate=2.0, submissions=120, seed=1, as_json=True,
-            mode="metrics", jobs=1,
+            rate=2.0, submissions=120, seed=1, as_json=True, jobs=1,
         )
         payload = json.loads(text)
-        assert payload == tune(
-            rate=2.0, submissions=120, seed=1, mode="metrics", jobs=1
-        )
+        assert payload == tune(rate=2.0, submissions=120, seed=1, jobs=1)
 
     def test_autotune_refuses_snapshotting_loops(self):
         from repro.service.loop import ServiceLoop

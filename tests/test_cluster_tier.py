@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.admission import WatchdogConfig
 from repro.cluster import (
     Cluster,
     EDGE_BOARD,
@@ -23,6 +24,7 @@ from repro.cluster import (
     make_placement,
     trace_digest,
 )
+from repro.cluster.shard import _board_run
 from repro.errors import ClusterError
 from repro.hypervisor.hypervisor import Hypervisor
 from repro.schedulers.registry import make_scheduler
@@ -305,9 +307,22 @@ class TestFleetAdmission:
         # The boundary admits everything; boards carry the controller.
         fleet.submit_sequence(self.burst(8))
         assert fleet.admission_stats.admitted == 8
-        assert all(task[6] == "degrade" for task in fleet.board_tasks())
+        tasks = fleet.board_tasks()
+        assert all(task.admission == "degrade" for task in tasks)
+        assert all(task.watchdog == WatchdogConfig() for task in tasks)
+        _, hypervisor = _board_run(next(t for t in tasks if t.specs))
+        assert hypervisor.watchdog is not None
         report = fleet.run(jobs=2)
         assert report.retired == 8
+
+    def test_boards_without_admission_carry_no_watchdog(self):
+        fleet = Cluster(fleet_profiles(2))
+        fleet.submit_sequence(self.burst(8))
+        tasks = fleet.board_tasks()
+        assert all(task.admission is None for task in tasks)
+        assert all(task.watchdog is None for task in tasks)
+        _, hypervisor = _board_run(next(t for t in tasks if t.specs))
+        assert hypervisor.watchdog is None
 
     def test_arrival_order_enforced(self):
         fleet = Cluster(fleet_profiles(1))

@@ -100,13 +100,17 @@ class TestServiceWindowEquivalence:
     @pytest.mark.parametrize("scheduler", CAPACITY_SCHEDULERS)
     def test_service_payload_exact_per_scheduler(self, scheduler):
         """Windowed sketches and counters are mode-independent."""
-        from repro.experiments.parallel import service_cells
+        from repro.service.loop import ServiceLoop
+        from repro.workload.arrivals import service_rate_process
 
-        tasks = [
-            (scheduler, "shed", 2.0, 0.0, 9, 60, 15_000.0, mode)
+        full, metrics = [
+            ServiceLoop(
+                service_rate_process(2.0, seed=9), scheduler=scheduler,
+                admission="shed", seed=9, max_submissions=60,
+                window_ms=15_000.0, mode=mode,
+            ).run().to_dict()
             for mode in ("full", "metrics")
         ]
-        full, metrics = service_cells(tasks, jobs=1)
         assert metrics == full
 
 

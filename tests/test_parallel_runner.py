@@ -92,12 +92,15 @@ class TestParallelDeterminism:
         from repro.workload.scenarios import MIXED_FAULTS
 
         sequence = scenario_sequence(STRESS, BASE_SEED, 6)
-        tasks = [
-            (name, sequence, MIXED_FAULTS.fault_config(0.1, seed=7), None)
+        cells = [
+            parallel.ClosedCell(
+                name, sequence, reduce=parallel.chaos,
+                faults=MIXED_FAULTS.fault_config(0.1, seed=7),
+            )
             for name in ("rr", "nimblock")
         ]
-        serial = parallel.chaos_cells(tasks, jobs=1)
-        fanned = parallel.chaos_cells(tasks, jobs=2)
+        serial = parallel.run_cells(cells, jobs=1)
+        fanned = parallel.run_cells(cells, jobs=2)
         assert serial == fanned
         assert any(cell.total_faults > 0 for cell in serial)
 
@@ -109,21 +112,64 @@ class TestParallelDeterminism:
     @given(seed=st.integers(0, 10**6), num_events=st.integers(3, 8))
     def test_property_serial_equals_parallel(self, seed, num_events):
         sequence = scenario_sequence(STRESS, seed, num_events)
-        tasks = [
-            ("fcfs", sequence, None, "full"),
-            ("nimblock", sequence, None, "metrics"),
+        cells = [
+            parallel.ClosedCell("fcfs", sequence),
+            parallel.ClosedCell("nimblock", sequence, mode="metrics"),
         ]
-        assert parallel.map_runs(tasks, jobs=2) == parallel.map_runs(
-            tasks, jobs=1
+        assert parallel.run_cells(cells, jobs=2) == parallel.run_cells(
+            cells, jobs=1
         )
 
     def test_fanout_propagates_worker_errors(self):
         events = [EventSpec("lenet", 1, 3, 0.0)]
         bad = EventSequence(events, label="bad-scheduler-seq")
         with pytest.raises(Exception):
-            parallel.map_runs(
-                [("no_such_policy", bad, None, "full")], jobs=2
+            parallel.run_cells(
+                [parallel.ClosedCell("no_such_policy", bad)], jobs=2
             )
+
+    def test_one_pool_runs_every_cell_kind(self):
+        """One fan-out mixes every reducer and a service cell; outcomes
+        are jobs-independent and no reducer passes vacuously."""
+        from repro.experiments.ext_overload import (
+            OVERLOAD_WORKLOAD,
+            study_sequence,
+        )
+        from repro.workload.scenarios import MIXED_FAULTS
+
+        sequence = scenario_sequence(STRESS, BASE_SEED, 6)
+        hot = study_sequence(OVERLOAD_WORKLOAD, 1, 30, 4.0)
+        cells = [
+            parallel.ClosedCell("nimblock", sequence),
+            parallel.ClosedCell(
+                "rr", sequence, reduce=parallel.chaos,
+                faults=MIXED_FAULTS.fault_config(0.1, seed=7),
+            ),
+            parallel.ClosedCell(
+                "fcfs", hot, reduce=parallel.overload, admission="shed",
+                seed=3,
+            ),
+            parallel.ClosedCell("prema", sequence, reduce=parallel.snapshot),
+            parallel.ServiceCell(
+                "nimblock", "shed", 1, 30, 15_000.0, rate=2.0
+            ),
+        ]
+        serial = parallel.run_cells(cells, jobs=1)
+        assert parallel.run_cells(cells, jobs=2) == serial
+        results, chaos, overload, snapshot, service = serial
+        assert len(results) == len(sequence)
+        assert chaos.total_faults > 0
+        assert overload.shed + overload.drops > 0
+        assert snapshot["counters"]
+        assert service["arrived"] == 30
+
+    def test_closed_cell_pairs_watchdog_with_admission(self):
+        sequence = scenario_sequence(STRESS, BASE_SEED, 4)
+        armed = parallel.ClosedCell("fcfs", sequence, admission="shed")
+        assert armed.hypervisor().watchdog is not None
+        plain = parallel.ClosedCell("fcfs", sequence).hypervisor()
+        assert plain.watchdog is None
+        assert plain.observer is None
 
     def test_effective_jobs_validation(self):
         assert parallel.effective_jobs(3) == 3

@@ -364,14 +364,14 @@ class TestSnapshotResume:
 
 class TestParallelAndFacade:
     def test_service_cells_jobs_equivalence(self):
-        from repro.experiments.parallel import service_cells
+        from repro.experiments.parallel import ServiceCell, run_cells
 
-        tasks = [
-            ("nimblock", "shed", 2.0, 0.0, 1, 40, 15_000.0, "full"),
-            ("prema", "unbounded", 2.0, 0.0, 1, 40, 15_000.0, "metrics"),
+        cells = [
+            ServiceCell("nimblock", "shed", 1, 40, 15_000.0, rate=2.0),
+            ServiceCell("prema", "unbounded", 1, 40, 15_000.0, rate=2.0),
         ]
-        serial = service_cells(tasks, jobs=1)
-        fanned = service_cells(tasks, jobs=2)
+        serial = run_cells(cells, jobs=1)
+        fanned = run_cells(cells, jobs=2)
         assert json.dumps(serial, sort_keys=True) \
             == json.dumps(fanned, sort_keys=True)
 
