@@ -35,7 +35,7 @@ import time
 from pathlib import Path
 from typing import Dict, Optional
 
-from repro.experiments.runner import ExperimentSettings
+from repro.experiments.runner import ExperimentSettings, RunCache
 
 #: Shared trajectory file (discriminated by the per-entry "bench" field).
 DEFAULT_BENCH_PATH = (
@@ -58,7 +58,7 @@ def cluster_payload(
 
     result = ext_cluster.run(
         settings=settings,
-        jobs=jobs,
+        cache=RunCache(jobs=jobs),
         fleet_sizes=fleet_sizes,
         placements=BENCH_PLACEMENTS,
     )

@@ -96,8 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "run mode: 'full' records trace rows for debugging/export; "
             "'metrics' folds events straight into counters and sketches "
-            "— same numbers, fastest path (default: full); serve and "
-            "tune store no rows and ignore it"
+            "— same numbers, fastest path (default: full). It reaches "
+            "the cached figure and table runs, report, ext-capacity, "
+            "ext-estimates, ext-hetero, ext-scaleout and cluster; every "
+            "other command ignores it: chaos, overload, trace, stats and "
+            "the row-reading studies need rows, and serve and tune store "
+            "none"
         ),
     )
     parser.add_argument(
@@ -517,16 +521,16 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _run_stats(args, settings)
         if args.experiment == "tune":
             return _run_tune(args, settings)
-        cache = RunCache(cache_dir=args.cache_dir, jobs=args.jobs)
+        cache = RunCache(
+            cache_dir=args.cache_dir, jobs=args.jobs, mode=args.mode
+        )
         names = (
             sorted(experiment_names())
             if args.experiment == "all"
             else [args.experiment]
         )
         for name in names:
-            result = get_experiment(name).run(
-                settings, cache=cache, jobs=args.jobs, mode=args.mode
-            )
+            result = get_experiment(name).run(settings, cache)
             print(result.text)
             print()
     except (AdmissionError, InvariantViolation) as error:

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.experiments.parallel import ServiceCell, resolve_jobs, run_cells
-from repro.experiments.runner import ExperimentSettings
+from repro.experiments.parallel import ServiceCell, run_cells
+from repro.experiments.runner import ExperimentSettings, RunCache
 from repro.metrics.slo import DEFAULT_SERVICE_SLO, SloTarget
 
 #: The three configurations compared: (row label, admission policy,
@@ -76,10 +76,8 @@ def _evaluate_cell(payload: dict, slo: SloTarget) -> dict:
 
 def run(
     settings: Optional[ExperimentSettings] = None,
-    cache=None,
+    cache: Optional[RunCache] = None,
     *,
-    jobs: Optional[int] = None,
-    mode: str = "full",
     rows: Sequence[Tuple[str, str, bool]] = AUTOTUNE_ROWS,
     phases: Sequence[Tuple[float, float]] = EPISODE_PHASES,
     submissions: Optional[int] = None,
@@ -90,13 +88,13 @@ def run(
 
     ``cache`` contributes only its fan-out width: the run cache keys
     closed sequences, and open-loop service runs must never be satisfied
-    from it. ``mode`` keeps the registry's uniform signature; service
-    runs store no trace rows, so it selects nothing. Every row faces the
-    *identical* seeded arrival stream, so outcome differences are pure
-    policy (or remediation) effects.
+    from it. Service runs store no trace rows, so ``cache.mode`` selects
+    nothing. Every row faces the *identical* seeded arrival stream, so
+    outcome differences are pure policy (or remediation) effects.
     """
     from repro.autotune import AutotuneConfig
 
+    cache = cache or RunCache()
     settings = settings or ExperimentSettings.from_env()
     slo = slo or DEFAULT_SERVICE_SLO
     per_cell = submissions if submissions is not None else _submissions(
@@ -113,7 +111,7 @@ def run(
             )
             for _, policy, armed in rows
         ],
-        jobs=resolve_jobs(jobs, cache),
+        jobs=cache.jobs,
     )
 
     cells: Dict[str, dict] = {}

@@ -65,8 +65,6 @@ def run(
     settings=None,
     cache=None,  # harness uniformity
     *,
-    jobs=None,
-    mode: str = "full",
     benchmarks: Sequence[str] = STUDY_BENCHMARKS,
     total_items: int = TOTAL_ITEMS,
     strategies: Optional[List[BatchingStrategy]] = None,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import SystemConfig
-from repro.experiments.runner import ExperimentSettings, format_table
+from repro.experiments.runner import ExperimentSettings, RunCache, format_table
 from repro.workload.scenarios import STRESS, scenario_sequence
 
 #: Slot counts swept (the paper's platform is 10).
@@ -58,34 +58,31 @@ class CapacityResult:
 
 def run(
     settings: Optional[ExperimentSettings] = None,
-    cache=None,  # per-slot-count configs cannot share the default cache
+    cache: Optional[RunCache] = None,
     *,
-    jobs: Optional[int] = None,
-    mode: str = "full",
     scheduler: str = "nimblock",
     slot_counts: Sequence[int] = DEFAULT_SLOT_COUNTS,
 ) -> CapacityResult:
     """Sweep the overlay slot count for one workload."""
     from repro.experiments import parallel
 
+    cache = cache or RunCache()
     settings = settings or ExperimentSettings.from_env()
     sequences = [
         scenario_sequence(STRESS, seed, settings.num_events)
         for seed in settings.seeds()
     ]
     # One cell per (slot count, sequence); each cell carries its own
-    # platform config, reconstructed worker-side.
+    # platform config, so the cache lends only its jobs and mode.
     cells = [
         parallel.ClosedCell(
             scheduler, sequence, config=SystemConfig(num_slots=slots),
-            mode=mode,
+            mode=cache.mode,
         )
         for slots in slot_counts
         for sequence in sequences
     ]
-    runs = iter(
-        parallel.run_cells(cells, jobs=parallel.resolve_jobs(jobs, cache))
-    )
+    runs = iter(parallel.run_cells(cells, jobs=cache.jobs))
     means: Dict[int, float] = {}
     for slots in slot_counts:
         responses: List[float] = []

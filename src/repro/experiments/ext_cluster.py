@@ -12,8 +12,8 @@ bends the lines is the tier itself: placement skew, heterogeneous board
 capability (the default fleet mix rotates zcu106/edge/hpc profiles) and
 per-board power envelopes under ``power_aware`` placement.
 
-Board simulation is sharded over ``jobs`` worker processes by the
-cluster tier; any ``jobs`` value produces byte-identical merged
+Board simulation is sharded over the cache's ``jobs`` worker processes
+by the cluster tier; any ``jobs`` value produces byte-identical merged
 snapshots, so the study's numbers are jobs-invariant by construction.
 """
 
@@ -84,8 +84,6 @@ def run(
     settings: Optional[ExperimentSettings] = None,
     cache: Optional[RunCache] = None,
     *,
-    jobs: Optional[int] = None,
-    mode: str = "full",
     scheduler: str = "nimblock",
     placements: Sequence[str] = PLACEMENT_POLICIES,
     fleet_sizes: Sequence[int] = FLEET_SIZES,
@@ -101,8 +99,7 @@ def run(
     ``cache`` contributes only its fan-out width: cluster cells carry
     placement state that the run cache's keys do not encode.
     """
-    from repro.experiments import parallel
-
+    cache = cache or RunCache()
     settings = settings or ExperimentSettings.from_env()
     if not placements:
         raise ExperimentError("placements must be non-empty")
@@ -110,7 +107,6 @@ def run(
         raise ExperimentError("fleet_sizes must be non-empty")
     if events_per_board is None:
         events_per_board = settings.num_events
-    resolved_jobs = parallel.resolve_jobs(jobs, cache)
 
     throughput: Dict[Tuple[int, str], float] = {}
     p99: Dict[Tuple[int, str], float] = {}
@@ -133,7 +129,8 @@ def run(
                 seed=settings.base_seed,
             )
             fleet.submit_sequence(sequence)
-            report = fleet.run(jobs=resolved_jobs)
+            # Full mode whatever cache.mode says: digests hash board rows.
+            report = fleet.run(jobs=cache.jobs)
             key = (num_boards, placement)
             throughput[key] = report.throughput_items_per_s
             p99[key] = report.quantile_ms(0.99)

@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.config import SystemConfig
 from repro.experiments.runner import (
     ExperimentSettings,
+    RunCache,
     format_table,
 )
 from repro.metrics.response import mean_reduction_factor
@@ -56,16 +57,15 @@ class EstimateSensitivityResult:
 
 def run(
     settings: Optional[ExperimentSettings] = None,
-    cache=None,  # accepted for harness uniformity; config varies per cell
+    cache: Optional[RunCache] = None,  # jobs and mode; config varies per cell
     *,
-    jobs: Optional[int] = None,
-    mode: str = "full",
     error_levels: Sequence[float] = ERROR_LEVELS,
     schedulers: Sequence[str] = STUDIED,
 ) -> EstimateSensitivityResult:
     """Sweep estimation error for each studied scheduler."""
     from repro.experiments import parallel
 
+    cache = cache or RunCache()
     settings = settings or ExperimentSettings.from_env()
     sequences = [
         scenario_sequence(STRESS, seed, settings.num_events)
@@ -76,15 +76,13 @@ def run(
     cells = [
         parallel.ClosedCell(
             name, sequence, config=SystemConfig(hls_estimation_error=error),
-            mode=mode,
+            mode=cache.mode,
         )
         for error in error_levels
         for name in ("baseline", *schedulers)
         for sequence in sequences
     ]
-    runs = iter(
-        parallel.run_cells(cells, jobs=parallel.resolve_jobs(jobs, cache))
-    )
+    runs = iter(parallel.run_cells(cells, jobs=cache.jobs))
     reductions: Dict[Tuple[float, str], float] = {}
     for error in error_levels:
         baseline: List = []

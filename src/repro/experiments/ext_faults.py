@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.config import SystemConfig
 from repro.errors import ExperimentError
 from repro.experiments.runner import (
     ExperimentSettings,
@@ -65,8 +64,6 @@ def run(
     settings: Optional[ExperimentSettings] = None,
     cache: Optional[RunCache] = None,
     *,
-    jobs: Optional[int] = None,
-    mode: str = "full",
     scenario: ChaosScenario = MIXED_FAULTS,
     workload: Scenario = STRESS,
     fault_rates: Sequence[float] = DEFAULT_FAULT_RATES,
@@ -74,19 +71,23 @@ def run(
 ) -> FaultStudyResult:
     """Sweep fault rates over all schedulers under one chaos scenario.
 
-    The (scheduler, rate, sequence) grid fans out over ``jobs`` worker
-    processes (see :mod:`repro.experiments.parallel`); each worker rebuilds
-    its injector from the picklable :class:`FaultConfig`, so the seeded
-    fault RNG streams — and therefore every aggregate — are identical to a
-    serial run.
+    The (scheduler, rate, sequence) grid fans out over the cache's
+    ``jobs`` worker processes (see :mod:`repro.experiments.parallel`);
+    each worker rebuilds its injector from the picklable
+    :class:`FaultConfig`, so the seeded fault RNG streams — and therefore
+    every aggregate — are identical to a serial run. The sweep must start
+    at rate 0.0: that run is the fault-free reference of every curve.
     """
     from repro.experiments import parallel
 
+    cache = cache or RunCache()
     settings = settings or ExperimentSettings.from_env()
-    config = cache.config if cache is not None else SystemConfig()
     rates = tuple(fault_rates)
-    if not rates:
-        raise ExperimentError("fault_rates must be non-empty")
+    if not rates or rates[0] != 0.0:
+        raise ExperimentError(
+            "fault_rates must start at 0.0, the fault-free reference "
+            f"every degradation is measured against; got {rates!r}"
+        )
     degradation: Dict[Tuple[str, float], float] = {}
     goodput: Dict[Tuple[str, float], float] = {}
     mttr: Dict[Tuple[str, float], float] = {}
@@ -97,17 +98,19 @@ def run(
         for seed in settings.seeds()
     ]
     seeds = settings.seeds()
+    # Full mode whatever cache.mode says: the chaos reducer reads rows.
     cells = iter(parallel.run_cells(
         [
             parallel.ClosedCell(
-                scheduler, sequence, reduce=parallel.chaos, config=config,
+                scheduler, sequence, reduce=parallel.chaos,
+                config=cache.config,
                 faults=scenario.fault_config(rate, seed=seeds[index]),
             )
             for scheduler in schedulers
             for rate in rates
             for index, sequence in enumerate(sequences)
         ],
-        jobs=parallel.resolve_jobs(jobs, cache),
+        jobs=cache.jobs,
     ))
     for scheduler in schedulers:
         reference: List[List[AppResult]] = []
@@ -121,8 +124,8 @@ def run(
                 cell = next(cells)
                 results = list(cell.results)
                 if len(reference) <= index:
-                    # First (lowest) rate doubles as this scheduler's
-                    # fault-free-or-mildest reference for the curves.
+                    # The first rate is 0.0: this scheduler's
+                    # fault-free reference for the curves.
                     reference.append(results)
                 ratios.append(
                     degradation_factor(reference[index], results)

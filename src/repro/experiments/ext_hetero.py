@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cluster import EDGE_BOARD, ZCU106_BOARD, BoardProfile
 from repro.experiments.ext_scaleout import run_fleets
-from repro.experiments.runner import ExperimentSettings, format_table
+from repro.experiments.runner import ExperimentSettings, RunCache, format_table
 
 #: Fleet definitions: name -> board profiles (the big board is zcu106).
 FLEETS: Dict[str, Tuple[BoardProfile, ...]] = {
@@ -61,19 +61,15 @@ class HeteroResult:
 
 def run(
     settings: Optional[ExperimentSettings] = None,
-    cache=None,
+    cache: Optional[RunCache] = None,
     *,
-    jobs=None,
-    mode: str = "full",
     scheduler: str = "nimblock",
 ) -> HeteroResult:
     """Run the arrival stream on each fleet definition."""
     outcomes = run_fleets(
         {name: (fleet, "least_loaded") for name, fleet in FLEETS.items()},
         settings or ExperimentSettings.from_env(),
-        cache,
-        jobs=jobs,
-        mode=mode,
+        cache or RunCache(),
         scheduler=scheduler,
     )
     return HeteroResult(

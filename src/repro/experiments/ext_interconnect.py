@@ -57,8 +57,6 @@ def run(
     settings: Optional[ExperimentSettings] = None,
     cache=None,  # accepted for harness uniformity; runs are not cacheable
     *,
-    jobs=None,
-    mode: str = "full",
     scheduler: str = "nimblock",
 ) -> InterconnectResult:
     """Run the same stimuli under each interconnect model."""

@@ -58,13 +58,11 @@ def run(
     settings: Optional[ExperimentSettings] = None,
     cache: Optional[RunCache] = None,
     *,
-    jobs: Optional[int] = None,
-    mode: str = "full",
     mixes: Sequence[str] = MIX_NAMES,
     schedulers: Sequence[str] = COMPARED,
 ) -> MixResult:
     """Run every mix under the baseline plus each compared scheduler."""
-    cache = cache or RunCache(jobs=jobs, mode=mode)
+    cache = cache or RunCache()
     settings = settings or ExperimentSettings.from_env()
     per_mix = {
         mix: [
@@ -76,7 +74,6 @@ def run(
     cache.prewarm(
         ("baseline", *schedulers),
         [seq for seqs in per_mix.values() for seq in seqs],
-        jobs=jobs,
     )
     reductions: Dict[Tuple[str, str], float] = {}
     for mix in mixes:

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.admission import ADMISSION_POLICIES
-from repro.config import SystemConfig
 from repro.errors import ExperimentError
 from repro.experiments.runner import (
     ExperimentSettings,
@@ -124,8 +123,6 @@ def run(
     settings: Optional[ExperimentSettings] = None,
     cache: Optional[RunCache] = None,
     *,
-    jobs: Optional[int] = None,
-    mode: str = "full",
     workload: Scenario = OVERLOAD_WORKLOAD,
     scheduler: str = "fcfs",
     rate_multipliers: Sequence[float] = DEFAULT_RATE_MULTIPLIERS,
@@ -145,18 +142,18 @@ def run(
     :data:`OVERLOAD_BURST_FACTOR` — the burst must outlast the largest
     single-app service time several times over.
 
-    The (policy, rate, sequence) grid fans out over ``jobs`` worker
-    processes; each worker rebuilds its controller from the picklable
-    (policy name, seed) pair, so the seeded retry jitter — and therefore
-    every aggregate — is identical to a serial run. ``cache`` contributes
-    only its platform config and fan-out width; overload cells are never
-    stored in (or served from) the run cache, whose keys do not encode
-    the admission policy.
+    The (policy, rate, sequence) grid fans out over the cache's ``jobs``
+    worker processes; each worker rebuilds its controller from the
+    picklable (policy name, seed) pair, so the seeded retry jitter — and
+    therefore every aggregate — is identical to a serial run. ``cache``
+    contributes only its platform config and fan-out width; overload
+    cells are never stored in (or served from) the run cache, whose keys
+    do not encode the admission policy.
     """
     from repro.experiments import parallel
 
+    cache = cache or RunCache()
     settings = settings or ExperimentSettings.from_env()
-    config = cache.config if cache is not None else SystemConfig()
     rates = tuple(rate_multipliers)
     if not rates:
         raise ExperimentError("rate_multipliers must be non-empty")
@@ -172,17 +169,18 @@ def run(
         ]
         for rate in rates
     }
+    # Full mode whatever cache.mode says: slo_report reads trace rows.
     cells = iter(parallel.run_cells(
         [
             parallel.ClosedCell(
-                scheduler, sequence, reduce=parallel.overload, config=config,
-                admission=policy, seed=seeds[index],
+                scheduler, sequence, reduce=parallel.overload,
+                config=cache.config, admission=policy, seed=seeds[index],
             )
             for policy in policies
             for rate in rates
             for index, sequence in enumerate(sequences[rate])
         ],
-        jobs=parallel.resolve_jobs(jobs, cache),
+        jobs=cache.jobs,
     ))
 
     p99_all: Dict[Tuple[str, float], float] = {}

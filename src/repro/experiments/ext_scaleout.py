@@ -4,8 +4,9 @@ The cluster tier (:mod:`repro.cluster`) dispatches whole applications to
 one of ``N`` Nimblock-scheduled boards. We sweep homogeneous zcu106
 fleets from one to 64 boards under a heavy arrival stream and compare
 placement policies on mean response, sharding board simulation over
-``jobs`` worker processes. :func:`run_fleets`, the per-sequence fleet
-loop, is shared with the heterogeneous-fleet study (``ext_hetero``).
+the cache's ``jobs`` worker processes. :func:`run_fleets`, the
+per-sequence fleet loop, is shared with the heterogeneous-fleet study
+(``ext_hetero``).
 
 Expected shapes: mean response improves steeply from one to two boards
 and sub-linearly after (a fixed arrival stream can only be spread so
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cluster import BoardProfile, Cluster, fleet_profiles
-from repro.experiments.runner import ExperimentSettings, format_table
+from repro.experiments.runner import ExperimentSettings, RunCache, format_table
 from repro.workload.scenarios import STRESS, scenario_sequence
 
 #: Fleet sizes swept: 1 -> 64, doubling.
@@ -47,22 +48,17 @@ class FleetOutcome:
 def run_fleets(
     fleets: Mapping[Hashable, Tuple[Sequence[BoardProfile], str]],
     settings: ExperimentSettings,
-    cache=None,
+    cache: RunCache,
     *,
-    jobs=None,
-    mode: str = "full",
     scheduler: str = "nimblock",
 ) -> Dict[Hashable, FleetOutcome]:
     """Run the study's stress streams on each ``(profiles, placement)``.
 
     Every sequence gets a fresh :class:`~repro.cluster.Cluster`, so
-    fleets never share state. ``jobs`` (else ``cache.jobs``) shards each
-    run's board simulation and ``mode`` picks its run mode; neither
-    changes an outcome.
+    fleets never share state. ``cache.jobs`` shards each run's board
+    simulation and ``cache.mode`` picks its run mode; neither changes
+    an outcome.
     """
-    from repro.experiments import parallel
-
-    resolved_jobs = parallel.resolve_jobs(jobs, cache)
     sequences = [
         scenario_sequence(STRESS, seed, settings.num_events)
         for seed in settings.seeds()
@@ -76,7 +72,7 @@ def run_fleets(
             fleet = Cluster(profiles, placement=placement,
                             scheduler=scheduler, seed=settings.base_seed)
             fleet.submit_sequence(sequence)
-            report = fleet.run(jobs=resolved_jobs, mode=mode)
+            report = fleet.run(jobs=cache.jobs, mode=cache.mode)
             for payload in report.boards:
                 placed[payload["board"]] += payload["submitted"]
                 busy[payload["board"]] += payload["run_busy_ms"]
@@ -106,10 +102,8 @@ class ScaleOutResult:
 
 def run(
     settings: Optional[ExperimentSettings] = None,
-    cache=None,
+    cache: Optional[RunCache] = None,
     *,
-    jobs=None,
-    mode: str = "full",
     scheduler: str = "nimblock",
     fleet_sizes: Tuple[int, ...] = FLEET_SIZES,
 ) -> ScaleOutResult:
@@ -123,9 +117,7 @@ def run(
             for dispatch in DISPATCH_POLICIES
         },
         settings or ExperimentSettings.from_env(),
-        cache,
-        jobs=jobs,
-        mode=mode,
+        cache or RunCache(),
         scheduler=scheduler,
     )
     return ScaleOutResult(

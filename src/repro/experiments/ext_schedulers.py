@@ -62,13 +62,11 @@ def run(
     settings: Optional[ExperimentSettings] = None,
     cache: Optional[RunCache] = None,
     *,
-    jobs: Optional[int] = None,
-    mode: str = "full",
     scenarios: Sequence[Scenario] = SCENARIOS,
     schedulers: Sequence[str] = COMPARED,
 ) -> SchedulerStudyResult:
     """Run the extended scheduler set over all three scenarios."""
-    cache = cache or RunCache(jobs=jobs, mode=mode)
+    cache = cache or RunCache()
     settings = settings or ExperimentSettings.from_env()
     priorities = (1, 3, 9)
     per_scenario = {
@@ -81,7 +79,6 @@ def run(
     cache.prewarm(
         ("baseline", *schedulers),
         [seq for seqs in per_scenario.values() for seq in seqs],
-        jobs=jobs,
     )
     reductions: Dict[Tuple[str, str], float] = {}
     tight: Dict[Tuple[str, str, int], float] = {}

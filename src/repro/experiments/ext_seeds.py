@@ -82,13 +82,11 @@ def run(
     settings: Optional[ExperimentSettings] = None,
     cache: Optional[RunCache] = None,
     *,
-    jobs: Optional[int] = None,
-    mode: str = "full",
     blocks: int = DEFAULT_BLOCKS,
     schedulers: Tuple[str, ...] = STUDIED,
 ) -> SeedStudyResult:
     """Replicate the stress experiment over disjoint seed blocks."""
-    cache = cache or RunCache(jobs=jobs, mode=mode)
+    cache = cache or RunCache()
     settings = settings or ExperimentSettings.from_env()
     per_block_count = max(1, settings.num_sequences // 2)
     per_block = {}
@@ -102,7 +100,6 @@ def run(
     cache.prewarm(
         ("baseline", *schedulers),
         [seq for seqs in per_block.values() for seq in seqs],
-        jobs=jobs,
     )
     reductions: Dict[Tuple[int, str], float] = {}
     for block in range(blocks):

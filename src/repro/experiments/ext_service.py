@@ -23,8 +23,8 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import ExperimentError
-from repro.experiments.parallel import ServiceCell, resolve_jobs, run_cells
-from repro.experiments.runner import ExperimentSettings
+from repro.experiments.parallel import ServiceCell, run_cells
+from repro.experiments.runner import ExperimentSettings, RunCache
 from repro.metrics.slo import DEFAULT_SERVICE_SLO, SloTarget
 from repro.service.loop import format_report
 from repro.service.windows import WindowedMetrics
@@ -82,10 +82,8 @@ def _evaluate_cell(payload: dict, slo: SloTarget) -> dict:
 
 def run(
     settings: Optional[ExperimentSettings] = None,
-    cache=None,
+    cache: Optional[RunCache] = None,
     *,
-    jobs: Optional[int] = None,
-    mode: str = "full",
     schedulers: Sequence[str] = CAPACITY_SCHEDULERS,
     policies: Sequence[str] = CAPACITY_POLICIES,
     rates: Sequence[float] = CAPACITY_RATES,
@@ -97,12 +95,13 @@ def run(
 
     ``cache`` contributes only its fan-out width: the run cache keys
     closed sequences, and open-loop service runs must never be satisfied
-    from it. ``mode`` keeps the registry's uniform signature; service
-    runs store no trace rows, so it selects nothing. Each rate uses one
-    seed (derived from ``settings.base_seed``), so every scheduler/policy
-    faces the *identical* arrival stream at that rate — capacity
-    differences are pure scheduling/admission effects.
+    from it. Service runs store no trace rows, so ``cache.mode`` selects
+    nothing. Each rate uses one seed (derived from
+    ``settings.base_seed``), so every scheduler/policy faces the
+    *identical* arrival stream at that rate — capacity differences are
+    pure scheduling/admission effects.
     """
+    cache = cache or RunCache()
     settings = settings or ExperimentSettings.from_env()
     if not rates or list(rates) != sorted(rates):
         raise ExperimentError(
@@ -121,7 +120,7 @@ def run(
         for scheduler in schedulers
         for policy in policies
     ]
-    payloads = run_cells(grid, jobs=resolve_jobs(jobs, cache))
+    payloads = run_cells(grid, jobs=cache.jobs)
 
     cells: Dict[str, dict] = {}
     for spec, payload in zip(grid, payloads):

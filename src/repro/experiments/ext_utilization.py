@@ -53,10 +53,8 @@ def _average(reports: List[UtilizationReport]) -> UtilizationReport:
 
 def run(
     settings: Optional[ExperimentSettings] = None,
-    cache=None,  # traces are needed, so runs are not shareable
+    cache=None,  # board_utilization reads trace rows: full mode, uncached
     *,
-    jobs=None,
-    mode: str = "full",
     schedulers: Sequence[str] = ALL_SCHEDULERS,
 ) -> UtilizationResult:
     """Measure slot-time shares for every scheduler on the same stimuli."""

@@ -44,13 +44,11 @@ def run(
     settings: Optional[ExperimentSettings] = None,
     cache: Optional[RunCache] = None,
     *,
-    jobs: Optional[int] = None,
-    mode: str = "full",
     batch_sizes: Sequence[int] = ABLATION_BATCH_SIZES,
     variants: Sequence[str] = ABLATION_NAMES,
 ) -> Fig10Result:
     """Collect AlexNet responses from the ablation runs."""
-    cache = cache or RunCache(jobs=jobs, mode=mode)
+    cache = cache or RunCache()
     settings = settings or ExperimentSettings.from_env()
     per_batch = {
         batch_size: _ablation_sequences(settings, batch_size)
@@ -59,7 +57,6 @@ def run(
     cache.prewarm(
         variants,
         [seq for seqs in per_batch.values() for seq in seqs],
-        jobs=jobs,
     )
     response: Dict[Tuple[int, str], float] = {}
     samples: Dict[int, int] = {}

@@ -40,13 +40,11 @@ def run(
     settings: Optional[ExperimentSettings] = None,
     cache: Optional[RunCache] = None,
     *,
-    jobs: Optional[int] = None,
-    mode: str = "full",
     batch_sizes: Sequence[int] = ABLATION_BATCH_SIZES,
     variants: Sequence[str] = ABLATION_NAMES,
 ) -> Fig11Result:
     """Compute AlexNet throughput from the ablation runs."""
-    cache = cache or RunCache(jobs=jobs, mode=mode)
+    cache = cache or RunCache()
     settings = settings or ExperimentSettings.from_env()
     per_batch = {
         batch_size: _ablation_sequences(settings, batch_size)
@@ -55,7 +53,6 @@ def run(
     cache.prewarm(
         variants,
         [seq for seqs in per_batch.values() for seq in seqs],
-        jobs=jobs,
     )
     throughput: Dict[Tuple[int, str], float] = {}
     for batch_size in batch_sizes:

@@ -52,11 +52,12 @@ def _demo_requests() -> List[AppRequest]:
     ]
 
 
-def run(settings=None, cache=None, *, jobs=None, mode="full") -> Fig2Result:
+def run(settings=None, cache=None) -> Fig2Result:
     """Execute the demo workload under each sharing mode.
 
     Uniform experiment signature; the fixed two-app demo ignores
-    ``settings``, ``cache`` and ``jobs``.
+    ``settings`` and ``cache`` (its timelines read trace rows, so it
+    runs full mode).
     """
     makespans: Dict[str, float] = {}
     timelines: Dict[str, str] = {}

@@ -39,14 +39,12 @@ def run(
     settings=None,
     cache=None,
     *,
-    jobs=None,
-    mode: str = "full",
     benchmark: str = "alexnet",
 ) -> Fig4Result:
     """Summarize one benchmark's task graph (AlexNet by default).
 
-    Uniform experiment signature; a structural study, so ``settings``,
-    ``cache`` and ``jobs`` are ignored.
+    Uniform experiment signature; a structural study, so ``settings``
+    and ``cache`` are ignored.
     """
     graph = get_benchmark(benchmark).graph
     return Fig4Result(

@@ -47,13 +47,11 @@ def run(
     settings: Optional[ExperimentSettings] = None,
     cache: Optional[RunCache] = None,
     *,
-    jobs: Optional[int] = None,
-    mode: str = "full",
     scenarios: Sequence[Scenario] = SCENARIOS,
     schedulers: Sequence[str] = SHARING_SCHEDULERS,
 ) -> Fig5Result:
     """Execute (or reuse) all runs and compute the Figure 5 matrix."""
-    cache = cache or RunCache(jobs=jobs, mode=mode)
+    cache = cache or RunCache()
     settings = settings or ExperimentSettings.from_env()
     per_scenario = {
         scenario.name: [
@@ -65,7 +63,6 @@ def run(
     cache.prewarm(
         ("baseline", *schedulers),
         [seq for seqs in per_scenario.values() for seq in seqs],
-        jobs=jobs,
     )
     reductions: Dict[Tuple[str, str], float] = {}
     for scenario in scenarios:

@@ -48,13 +48,11 @@ def run(
     settings: Optional[ExperimentSettings] = None,
     cache: Optional[RunCache] = None,
     *,
-    jobs: Optional[int] = None,
-    mode: str = "full",
     scenarios: Sequence[Scenario] = SCENARIOS,
     schedulers: Sequence[str] = SHARING_SCHEDULERS,
 ) -> Fig6Result:
     """Compute the Figure 6 tail matrix (reusing Figure 5's runs)."""
-    cache = cache or RunCache(jobs=jobs, mode=mode)
+    cache = cache or RunCache()
     settings = settings or ExperimentSettings.from_env()
     per_scenario = {
         scenario.name: [
@@ -66,7 +64,6 @@ def run(
     cache.prewarm(
         ("baseline", *schedulers),
         [seq for seqs in per_scenario.values() for seq in seqs],
-        jobs=jobs,
     )
     tails: Dict[Tuple[str, float, str], float] = {}
     for scenario in scenarios:

@@ -64,15 +64,13 @@ def run(
     settings: Optional[ExperimentSettings] = None,
     cache: Optional[RunCache] = None,
     *,
-    jobs: Optional[int] = None,
-    mode: str = "full",
     scenarios: Sequence[Scenario] = SCENARIOS,
     schedulers: Sequence[str] = ALL_SCHEDULERS,
     priority: Optional[int] = ANALYZED_PRIORITY,
     ds_values: Sequence[float] = DEFAULT_DS_VALUES,
 ) -> Fig7Result:
     """Sweep deadline scaling factors over the scenario runs."""
-    cache = cache or RunCache(jobs=jobs, mode=mode)
+    cache = cache or RunCache()
     settings = settings or ExperimentSettings.from_env()
     per_scenario = {
         scenario.name: [
@@ -84,7 +82,6 @@ def run(
     cache.prewarm(
         schedulers,
         [seq for seqs in per_scenario.values() for seq in seqs],
-        jobs=jobs,
     )
     curves: Dict[Tuple[str, str], DeadlineCurve] = {}
     for scenario in scenarios:

@@ -38,18 +38,16 @@ def run(
     settings: Optional[ExperimentSettings] = None,
     cache: Optional[RunCache] = None,
     *,
-    jobs: Optional[int] = None,
-    mode: str = "full",
     scheduler: str = "nimblock",
 ) -> Fig8Result:
     """Break down application time under one scheduler (standard test)."""
-    cache = cache or RunCache(jobs=jobs, mode=mode)
+    cache = cache or RunCache()
     settings = settings or ExperimentSettings.from_env()
     sequences = [
         scenario_sequence(STANDARD, seed, settings.num_events)
         for seed in settings.seeds()
     ]
-    cache.prewarm((scheduler,), sequences, jobs=jobs)
+    cache.prewarm((scheduler,), sequences)
     results = cache.combined(scheduler, sequences)
     return Fig8Result(
         scheduler=scheduler, breakdowns=breakdown_by_benchmark(results)

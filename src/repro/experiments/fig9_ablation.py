@@ -69,13 +69,11 @@ def run(
     settings: Optional[ExperimentSettings] = None,
     cache: Optional[RunCache] = None,
     *,
-    jobs: Optional[int] = None,
-    mode: str = "full",
     batch_sizes: Sequence[int] = ABLATION_BATCH_SIZES,
     variants: Sequence[str] = ABLATION_NAMES,
 ) -> Fig9Result:
     """Run the ablation grid: fixed batches x Nimblock variants."""
-    cache = cache or RunCache(jobs=jobs, mode=mode)
+    cache = cache or RunCache()
     settings = settings or ExperimentSettings.from_env()
     per_batch = {
         batch_size: _ablation_sequences(settings, batch_size)
@@ -84,7 +82,6 @@ def run(
     cache.prewarm(
         ("nimblock", *variants),
         [seq for seqs in per_batch.values() for seq in seqs],
-        jobs=jobs,
     )
     relative: Dict[Tuple[int, str], float] = {}
     for batch_size in batch_sizes:

@@ -92,15 +92,13 @@ def run(
     settings=None,
     cache=None,
     *,
-    jobs=None,
-    mode: str = "full",
     num_apps: int = 12,
     iterations: int = 200,
 ) -> OverheadResult:
     """Measure both costs and report the gap.
 
     Uniform experiment signature; the micro-benchmark ignores
-    ``settings``, ``cache``, ``jobs`` and ``mode``.
+    ``settings`` and ``cache``.
     """
     decision = measure_decision_cost(num_apps, iterations)
     solve_s, nodes = measure_exact_solve_cost()

@@ -55,15 +55,6 @@ def effective_jobs(jobs: Optional[int] = None) -> int:
     return jobs
 
 
-def resolve_jobs(jobs: Optional[int], cache=None) -> int:
-    """Like :func:`effective_jobs`, but falling back to ``cache.jobs``."""
-    if jobs is not None:
-        return effective_jobs(jobs)
-    if cache is not None and getattr(cache, "jobs", None) is not None:
-        return effective_jobs(cache.jobs)
-    return effective_jobs(None)
-
-
 def results(hypervisor: "Hypervisor") -> List[AppResult]:
     """Reducer (top-level, so cells pickle it by name): the results."""
     return hypervisor.results()

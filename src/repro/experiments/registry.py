@@ -6,10 +6,13 @@ Historically each ``fig*`` / ``table*`` / ``ext_*`` module grew its own
 declared, uniform contract:
 
 * every experiment module exposes
-  ``run(settings=None, cache=None, *, jobs=None, mode="full", ...) ->
-  <module result>`` and ``format_result(result) -> str``;
+  ``run(settings=None, cache=None, *, <study knobs>) -> <module result>``
+  and ``format_result(result) -> str``;
+* the :class:`~repro.experiments.runner.RunCache` is the one carrier of
+  run settings: its ``config``, ``jobs`` (fan-out width) and ``mode``
+  (run mode) reach every study through ``cache``, never as arguments;
 * the registry wraps each module in an :class:`Experiment` whose
-  ``run(settings, *, cache=None, jobs=None, mode="full")`` returns an
+  ``run(settings=None, cache=None)`` returns an
   :class:`ExperimentResult` (name + raw value + rendered text);
 * dispatch — CLI, benchmarks, notebooks — goes through
   :func:`get_experiment` / :func:`run_experiment` and never special-cases
@@ -24,7 +27,7 @@ from __future__ import annotations
 import importlib
 from dataclasses import dataclass, field
 from types import ModuleType
-from typing import Any, Dict, List, Optional, Protocol, Tuple, runtime_checkable
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ExperimentError
 from repro.experiments.runner import ExperimentSettings, RunCache
@@ -38,24 +41,6 @@ class ExperimentResult:
     value: Any
     text: str
     title: str = ""
-
-
-@runtime_checkable
-class ExperimentLike(Protocol):
-    """Anything invokable through the registry's uniform signature."""
-
-    name: str
-
-    def run(
-        self,
-        settings: Optional[ExperimentSettings] = None,
-        *,
-        cache: Optional[RunCache] = None,
-        jobs: Optional[int] = None,
-        mode: str = "full",
-    ) -> ExperimentResult:
-        """Execute the experiment and return its uniform result."""
-        ...  # pragma: no cover - protocol
 
 
 @dataclass(frozen=True)
@@ -85,25 +70,19 @@ class Experiment:
     def run(
         self,
         settings: Optional[ExperimentSettings] = None,
-        *,
         cache: Optional[RunCache] = None,
-        jobs: Optional[int] = None,
-        mode: str = "full",
     ) -> ExperimentResult:
         """Uniform entry point: execute, render, wrap.
 
         ``settings`` defaults to :meth:`ExperimentSettings.from_env`;
         ``cache`` defaults to a fresh memory-only :class:`RunCache`
-        carrying ``jobs`` as its fan-out width and ``mode`` as its run
-        mode (results are mode-independent; ``mode="metrics"`` only
-        skips trace-row recording).
+        (serial unless ``REPRO_JOBS`` says otherwise, full mode).
+        Results are independent of the cache's ``jobs`` and ``mode``.
         """
         module = self.module()
         if settings is None:
             settings = ExperimentSettings.from_env()
-        if cache is None:
-            cache = RunCache(jobs=jobs, mode=mode)
-        value = module.run(settings, cache, jobs=jobs, mode=mode)
+        value = module.run(settings, cache or RunCache())
         return ExperimentResult(
             name=self.name, value=value,
             text=module.format_result(value), title=self.title,
@@ -173,12 +152,7 @@ def get_experiment(name: str) -> Experiment:
 def run_experiment(
     name: str,
     settings: Optional[ExperimentSettings] = None,
-    *,
     cache: Optional[RunCache] = None,
-    jobs: Optional[int] = None,
-    mode: str = "full",
 ) -> ExperimentResult:
     """One-call uniform dispatch: look up, run, wrap."""
-    return get_experiment(name).run(
-        settings, cache=cache, jobs=jobs, mode=mode
-    )
+    return get_experiment(name).run(settings, cache)

@@ -337,7 +337,7 @@ def _check_overhead() -> List[Finding]:
 
 
 def _prewarm_shared_runs(
-    cache: RunCache, settings: ExperimentSettings, jobs=None
+    cache: RunCache, settings: ExperimentSettings
 ) -> None:
     """Fan the report's shared stimuli out in one batch.
 
@@ -365,19 +365,17 @@ def _prewarm_shared_runs(
         )
         for seed in settings.seeds()
     )
-    cache.prewarm(ALL_SCHEDULERS, sequences, jobs=jobs)
+    cache.prewarm(ALL_SCHEDULERS, sequences)
 
 
 def generate_findings(
     cache: Optional[RunCache] = None,
     settings: Optional[ExperimentSettings] = None,
-    jobs=None,
-    mode: str = "full",
 ) -> List[Finding]:
     """Run every experiment and compare against the paper's claims."""
-    cache = cache or RunCache(jobs=jobs, mode=mode)
+    cache = cache or RunCache()
     settings = settings or ExperimentSettings.from_env()
-    _prewarm_shared_runs(cache, settings, jobs=jobs)
+    _prewarm_shared_runs(cache, settings)
     findings: List[Finding] = []
     findings.extend(_check_table1())
     findings.extend(_check_table2())
@@ -410,11 +408,9 @@ def format_findings(findings: List[Finding]) -> str:
 
 
 # CLI adapter: `nimblock-repro report`.
-def run(settings=None, cache=None, *, jobs=None, mode="full") -> List[Finding]:
+def run(settings=None, cache=None) -> List[Finding]:
     """Experiment-module interface used by the CLI."""
-    return generate_findings(
-        cache=cache, settings=settings, jobs=jobs, mode=mode
-    )
+    return generate_findings(cache=cache, settings=settings)
 
 
 def format_result(findings: List[Finding]) -> str:

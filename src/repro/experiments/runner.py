@@ -203,6 +203,9 @@ class RunCache:
     bench sessions, CI jobs) skip simulation entirely; a warm rerun
     performs zero simulations.
 
+    It also carries an experiment's run settings: every registered study
+    reads its ``config``, ``jobs`` and ``mode`` from the cache it is given.
+
     Counters: ``simulations`` (real engine runs), ``memory_hits`` and
     ``disk_hits`` describe where each ``results`` call was served from.
     """
@@ -216,10 +219,12 @@ class RunCache:
     ) -> None:
         self.config = config or SystemConfig()
         self.cache_dir = Path(cache_dir) if cache_dir else None
-        #: Default worker count for :meth:`prewarm` (None = REPRO_JOBS or 1).
+        #: Worker count for :meth:`prewarm` and every study reading this
+        #: cache (None = REPRO_JOBS or 1).
         self.jobs = jobs
-        #: Engine run mode for fresh simulations. Deliberately NOT part of
-        #: the disk-cache key: results are mode-independent (pinned by
+        #: Run mode for fresh simulations, here and in every study that
+        #: reads no trace rows. Deliberately NOT part of the disk-cache
+        #: key: results are mode-independent (pinned by
         #: ``tests/test_mode_equivalence.py``), so either mode may satisfy
         #: a lookup recorded by the other.
         self.mode = normalize_mode(mode)
@@ -384,9 +389,9 @@ class RunCache:
             )
             for _, name, sequence in pending
         ]
+        width = self.jobs if jobs is None else jobs
         for (key, name, sequence), results in zip(
-            pending,
-            parallel.run_cells(cells, jobs=parallel.resolve_jobs(jobs, self)),
+            pending, parallel.run_cells(cells, jobs=width)
         ):
             self.simulations += 1
             self._runs[key] = results

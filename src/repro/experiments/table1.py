@@ -32,14 +32,12 @@ def run(
     settings=None,
     cache=None,
     *,
-    jobs=None,
-    mode: str = "full",
     num_slots: int = 10,
 ) -> Table1Result:
     """Build the overlay floorplan and report utilization.
 
-    Uniform experiment signature; a static study, so ``settings``,
-    ``cache`` and ``jobs`` are ignored.
+    Uniform experiment signature; a static study, so ``settings``
+    and ``cache`` are ignored.
     """
     plan = Floorplan.zcu106(num_slots=num_slots)
     plan.validate()

@@ -38,11 +38,11 @@ class Table2Result:
         )
 
 
-def run(settings=None, cache=None, *, jobs=None, mode="full") -> Table2Result:
+def run(settings=None, cache=None) -> Table2Result:
     """Measure every catalog benchmark's task/edge counts.
 
-    Uniform experiment signature; a static study, so ``settings``,
-    ``cache`` and ``jobs`` are ignored.
+    Uniform experiment signature; a static study, so ``settings``
+    and ``cache`` are ignored.
     """
     rows = []
     for name in BENCHMARK_NAMES:

@@ -60,12 +60,10 @@ def run(
     settings: Optional[ExperimentSettings] = None,
     cache: Optional[RunCache] = None,
     *,
-    jobs: Optional[int] = None,
-    mode: str = "full",
     schedulers: Sequence[str] = ALL_SCHEDULERS,
 ) -> Table3Result:
     """Run the Table 3 workload under every algorithm."""
-    cache = cache or RunCache(jobs=jobs, mode=mode)
+    cache = cache or RunCache()
     settings = settings or ExperimentSettings.from_env()
     sequences = [
         fixed_batch_sequence(
@@ -74,7 +72,7 @@ def run(
         )
         for seed in settings.seeds()
     ]
-    cache.prewarm(("baseline", *schedulers), sequences, jobs=jobs)
+    cache.prewarm(("baseline", *schedulers), sequences)
 
     baseline = cache.combined("baseline", sequences)
     seen = {result.name for result in baseline}

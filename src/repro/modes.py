@@ -3,9 +3,11 @@
 One ``mode=`` parameter travels uniformly through
 :class:`~repro.hypervisor.hypervisor.Hypervisor`, the
 :func:`~repro.facade.simulate` / :func:`~repro.facade.serve` /
-:func:`~repro.facade.fleet` facades, ``run_experiment`` and the CLI.
-The service tier (``serve``, ``tune``) validates and reports it but
-always runs metrics mode:
+:func:`~repro.facade.fleet` facades and the CLI. A registered study
+takes its mode from the :class:`~repro.experiments.runner.RunCache`
+it is given; studies that read trace rows run full mode whatever the
+cache says. The service tier (``serve``, ``tune``) validates the mode
+but always runs metrics mode:
 
 ``"full"``
     Record every trace row (the default). Required for row-level

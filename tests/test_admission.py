@@ -29,7 +29,7 @@ from repro.admission import (
 from repro.config import SystemConfig
 from repro.errors import AdmissionError, InvariantViolation
 from repro.experiments import ext_overload
-from repro.experiments.runner import ExperimentSettings
+from repro.experiments.runner import ExperimentSettings, RunCache
 from repro.faults.injector import FaultInjector
 from repro.hypervisor.hypervisor import Hypervisor
 from repro.metrics.utilization import board_utilization
@@ -472,8 +472,8 @@ class TestOverloadStudyDeterminism:
     def test_serial_and_parallel_results_are_identical(self):
         settings = ExperimentSettings(num_sequences=2, num_events=3)
         kwargs = dict(rate_multipliers=(1.0, 4.0))
-        serial = ext_overload.run(settings, jobs=1, **kwargs)
-        parallel = ext_overload.run(settings, jobs=2, **kwargs)
+        serial = ext_overload.run(settings, RunCache(jobs=1), **kwargs)
+        parallel = ext_overload.run(settings, RunCache(jobs=2), **kwargs)
         # repr-compare: dataclass dicts are built in identical order and
         # NaN cells (repr 'nan') compare equal textually where == cannot.
         assert repr(serial) == repr(parallel)
@@ -483,7 +483,7 @@ class TestOverloadStudyDeterminism:
         # to dominate the unbounded tail: 64 events per sequence.
         settings = ExperimentSettings(num_sequences=1, num_events=8)
         result = ext_overload.run(
-            settings, jobs=2, rate_multipliers=(1.0, 4.0),
+            settings, RunCache(jobs=2), rate_multipliers=(1.0, 4.0),
             policies=("unbounded", "shed"),
         )
         assert result.scheduler == "fcfs"

@@ -586,7 +586,6 @@ class TestStudyAndCli:
         result = ext_autotune.run(
             ExperimentSettings(num_sequences=1, num_events=1),
             submissions=150,
-            mode="metrics",
         )
         assert set(result["cells"]) == {
             "static-unbounded", "static-shed", "autotuned"

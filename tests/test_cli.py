@@ -46,6 +46,28 @@ class TestMain:
         assert "nimblock" in out
         assert "stress" in out
 
+    def test_mode_reaches_every_cached_simulation(self, capsys, monkeypatch):
+        """``--mode`` selects the run mode of every cached figure run,
+        and the figure reads the same in either mode."""
+        from repro.hypervisor.hypervisor import Hypervisor
+
+        built = []
+        init = Hypervisor.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self.mode)
+
+        monkeypatch.setattr(Hypervisor, "__init__", recording_init)
+        outputs = {}
+        for mode in ("full", "metrics"):
+            built.clear()
+            assert main(["fig5", "--sequences", "1", "--events", "4",
+                         "--jobs", "1", "--mode", mode]) == 0
+            outputs[mode] = capsys.readouterr().out
+            assert built and set(built) == {mode}
+        assert outputs["full"] == outputs["metrics"]
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "repro.cli", "table2"],

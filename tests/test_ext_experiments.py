@@ -110,8 +110,10 @@ class TestFleetStudiesJobsAndMode:
             ext_hetero.run,
             lambda **kw: ext_scaleout.run(fleet_sizes=(1, 2), **kw),
         ):
-            serial = run(settings=TINY, jobs=1, mode="full")
-            assert serial == run(settings=TINY, jobs=2, mode="metrics")
+            serial = run(settings=TINY, cache=RunCache(jobs=1))
+            assert serial == run(
+                settings=TINY, cache=RunCache(jobs=2, mode="metrics")
+            )
 
 
 class TestExtendedSchedulers:

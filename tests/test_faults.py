@@ -26,8 +26,9 @@ from repro.errors import (
     SlotStateError,
     WorkloadError,
 )
+from repro.experiments import ext_faults
 from repro.experiments.ext_faults import chaos_report
-from repro.experiments.runner import run_closed
+from repro.experiments.runner import ExperimentSettings, run_closed
 from repro.faults import (
     FaultConfig,
     FaultInjector,
@@ -560,3 +561,14 @@ class TestChaosReport:
     def test_unknown_workload_rejected(self):
         with pytest.raises(ExperimentError, match="unknown workload"):
             chaos_report(workload_name="bogus", num_events=2)
+
+
+class TestFaultStudy:
+    def test_sweep_must_start_fault_free(self):
+        """Every degradation is a ratio to the first rate's run, so a
+        sweep without the 0.0 reference is refused, not mislabelled."""
+        with pytest.raises(ExperimentError, match="must start at 0.0"):
+            ext_faults.run(
+                ExperimentSettings(num_sequences=1, num_events=6),
+                fault_rates=(0.05, 0.1), schedulers=("nimblock",),
+            )

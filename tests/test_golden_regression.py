@@ -134,11 +134,10 @@ def test_golden_ext_faults_sweep():
     from repro.experiments import ext_faults
 
     result = ext_faults.run(
-        cache=RunCache(),
+        cache=RunCache(jobs=1),
         settings=ExperimentSettings(num_sequences=1, num_events=5),
         fault_rates=(0.0, 0.1),
         schedulers=("rr", "nimblock"),
-        jobs=1,
     )
     measured = {
         key: round(value, 4) for key, value in result.degradation.items()

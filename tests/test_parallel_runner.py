@@ -343,8 +343,8 @@ class TestExperimentParityThroughPrewarm:
             fault_rates=(0.0, 0.1),
             schedulers=("rr", "nimblock"),
         )
-        serial = ext_faults.run(cache=RunCache(), jobs=1, **kwargs)
-        fanned = ext_faults.run(cache=RunCache(), jobs=3, **kwargs)
+        serial = ext_faults.run(cache=RunCache(jobs=1), **kwargs)
+        fanned = ext_faults.run(cache=RunCache(jobs=3), **kwargs)
         # mttr is NaN at rate 0.0 (no recoveries), so plain == can't be
         # used even for identical results.
         assert _nan_equal(asdict(serial), asdict(fanned))

@@ -7,7 +7,6 @@ import pytest
 from repro.errors import ExperimentError
 from repro.experiments.registry import (
     Experiment,
-    ExperimentLike,
     ExperimentResult,
     all_experiments,
     experiment_names,
@@ -36,7 +35,6 @@ class TestRegistryContents:
         assert [e.name for e in experiments] == sorted(experiment_names())
         for experiment in experiments:
             assert isinstance(experiment, Experiment)
-            assert isinstance(experiment, ExperimentLike)
 
     def test_unknown_name_raises_with_suggestions(self):
         with pytest.raises(ExperimentError, match="fig2"):
@@ -69,16 +67,20 @@ class TestUniformInvocation:
         assert result.name == "fig2"
 
     def test_simulation_experiment_through_registry(self):
-        result = run_experiment("fig5", TINY, cache=RunCache(), jobs=1)
+        result = run_experiment("fig5", TINY, RunCache(jobs=1))
         assert "nimblock" in result.text
 
     def test_every_module_accepts_the_uniform_signature(self):
-        """run(settings, cache, *, jobs, mode) must bind everywhere."""
+        """run(settings, cache) must bind everywhere, and the cache is
+        the one carrier of jobs and mode: no study takes either."""
         import inspect
 
         for experiment in all_experiments():
             signature = inspect.signature(experiment.module().run)
-            signature.bind(TINY, RunCache(), jobs=None, mode="metrics")
+            signature.bind(TINY, RunCache(mode="metrics"))
+            assert not {"jobs", "mode"} & set(signature.parameters), (
+                experiment.name
+            )
 
 
 class TestShimRetired:
@@ -104,7 +106,7 @@ class TestShimRetired:
         from repro.experiments import fig5_response
 
         with pytest.raises(ExperimentError, match="unknown run mode"):
-            fig5_response.run(TINY, jobs=1, mode="fast")
+            fig5_response.run(TINY, RunCache(jobs=1, mode="fast"))
 
 
 class TestPublicApi:

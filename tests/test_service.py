@@ -415,7 +415,6 @@ class TestExtServiceExperiment:
             policies=("unbounded",),
             rates=(0.5, 2.0),
             submissions=8,
-            jobs=1,
         )
         assert set(result["capacity"]) == {"fcfs", "nimblock"}
         for scheduler in ("fcfs", "nimblock"):
