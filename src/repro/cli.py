@@ -479,15 +479,10 @@ def _run_stats(args: argparse.Namespace, settings: ExperimentSettings) -> int:
     """Emit merged Prometheus metrics for a small sweep (``stats``)."""
     from repro.observe.aggregate import collect_metrics
     from repro.observe.exporters import snapshot_to_prometheus
-    from repro.workload.scenarios import scenario_sequence
 
-    scenario = _workload_scenario(args.workload)
-    sequences = [
-        scenario_sequence(scenario, seed, settings.num_events)
-        for seed in settings.seeds()
-    ]
     merged = collect_metrics(
-        [args.scheduler or "nimblock"], sequences,
+        [args.scheduler or "nimblock"],
+        settings.sequences(_workload_scenario(args.workload)),
         fault_config=_fault_config(args, default_rate=0.0),
         jobs=args.jobs,
         admission=args.admission,

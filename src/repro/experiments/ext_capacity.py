@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import SystemConfig
 from repro.experiments.runner import ExperimentSettings, RunCache, format_table
-from repro.workload.scenarios import STRESS, scenario_sequence
+from repro.workload.scenarios import STRESS
 
 #: Slot counts swept (the paper's platform is 10).
 DEFAULT_SLOT_COUNTS: Tuple[int, ...] = (2, 4, 6, 8, 10, 12, 14)
@@ -64,30 +64,17 @@ def run(
     slot_counts: Sequence[int] = DEFAULT_SLOT_COUNTS,
 ) -> CapacityResult:
     """Sweep the overlay slot count for one workload."""
-    from repro.experiments import parallel
-
     cache = cache or RunCache()
     settings = settings or ExperimentSettings.from_env()
-    sequences = [
-        scenario_sequence(STRESS, seed, settings.num_events)
-        for seed in settings.seeds()
-    ]
-    # One cell per (slot count, sequence); each cell carries its own
-    # platform config, so the cache lends only its jobs and mode.
-    cells = [
-        parallel.ClosedCell(
-            scheduler, sequence, config=SystemConfig(num_slots=slots),
-            mode=cache.mode,
-        )
-        for slots in slot_counts
-        for sequence in sequences
-    ]
-    runs = iter(parallel.run_cells(cells, jobs=cache.jobs))
+    sequences = settings.sequences(STRESS)
+    pools = cache.grid(
+        (scheduler,),
+        {slots: sequences for slots in slot_counts},
+        configs={n: SystemConfig(num_slots=n) for n in slot_counts},
+    )
     means: Dict[int, float] = {}
     for slots in slot_counts:
-        responses: List[float] = []
-        for _sequence in sequences:
-            responses.extend(result.response_ms for result in next(runs))
+        responses = [r.response_ms for r in pools[(slots, scheduler)]]
         means[slots] = sum(responses) / len(responses)
     return CapacityResult(
         scheduler=scheduler,

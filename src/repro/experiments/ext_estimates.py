@@ -27,7 +27,7 @@ from repro.experiments.runner import (
     format_table,
 )
 from repro.metrics.response import mean_reduction_factor
-from repro.workload.scenarios import STRESS, scenario_sequence
+from repro.workload.scenarios import STRESS
 
 #: Relative estimation-error bounds swept.
 ERROR_LEVELS: Tuple[float, ...] = (0.0, 0.1, 0.2, 0.4)
@@ -57,44 +57,30 @@ class EstimateSensitivityResult:
 
 def run(
     settings: Optional[ExperimentSettings] = None,
-    cache: Optional[RunCache] = None,  # jobs and mode; config varies per cell
+    cache: Optional[RunCache] = None,
     *,
     error_levels: Sequence[float] = ERROR_LEVELS,
     schedulers: Sequence[str] = STUDIED,
 ) -> EstimateSensitivityResult:
     """Sweep estimation error for each studied scheduler."""
-    from repro.experiments import parallel
-
     cache = cache or RunCache()
     settings = settings or ExperimentSettings.from_env()
-    sequences = [
-        scenario_sequence(STRESS, seed, settings.num_events)
-        for seed in settings.seeds()
-    ]
-    # Flat cell list in the exact aggregation order: per error level, the
-    # baseline runs first, then each studied scheduler.
-    cells = [
-        parallel.ClosedCell(
-            name, sequence, config=SystemConfig(hls_estimation_error=error),
-            mode=cache.mode,
+    sequences = settings.sequences(STRESS)
+    pools = cache.grid(
+        ("baseline", *schedulers),
+        {error: sequences for error in error_levels},
+        configs={
+            error: SystemConfig(hls_estimation_error=error)
+            for error in error_levels
+        },
+    )
+    reductions = {
+        (error, scheduler): mean_reduction_factor(
+            pools[(error, "baseline")], pools[(error, scheduler)]
         )
         for error in error_levels
-        for name in ("baseline", *schedulers)
-        for sequence in sequences
-    ]
-    runs = iter(parallel.run_cells(cells, jobs=cache.jobs))
-    reductions: Dict[Tuple[float, str], float] = {}
-    for error in error_levels:
-        baseline: List = []
-        for _sequence in sequences:
-            baseline.extend(next(runs))
-        for scheduler in schedulers:
-            results: List = []
-            for _sequence in sequences:
-                results.extend(next(runs))
-            reductions[(error, scheduler)] = mean_reduction_factor(
-                baseline, results
-            )
+        for scheduler in schedulers
+    }
     return EstimateSensitivityResult(
         error_levels=tuple(error_levels),
         schedulers=tuple(schedulers),

@@ -93,17 +93,13 @@ def run(
     mttr: Dict[Tuple[str, float], float] = {}
     work_lost: Dict[Tuple[str, float], float] = {}
     fault_counts: Dict[Tuple[str, float], int] = {}
-    sequences = [
-        scenario_sequence(workload, seed, settings.num_events)
-        for seed in settings.seeds()
-    ]
+    sequences = settings.sequences(workload)
     seeds = settings.seeds()
     # Full mode whatever cache.mode says: the chaos reducer reads rows.
     cells = iter(parallel.run_cells(
         [
             parallel.ClosedCell(
                 scheduler, sequence, reduce=parallel.chaos,
-                config=cache.config,
                 faults=scenario.fault_config(rate, seed=seeds[index]),
             )
             for scheduler in schedulers

@@ -64,26 +64,23 @@ def run(
     """Run every mix under the baseline plus each compared scheduler."""
     cache = cache or RunCache()
     settings = settings or ExperimentSettings.from_env()
-    per_mix = {
-        mix: [
-            mix_sequence(mix, seed, settings.num_events)
-            for seed in settings.seeds()
-        ]
-        for mix in mixes
-    }
-    cache.prewarm(
+    pools = cache.grid(
         ("baseline", *schedulers),
-        [seq for seqs in per_mix.values() for seq in seqs],
+        {
+            mix: [
+                mix_sequence(mix, seed, settings.num_events)
+                for seed in settings.seeds()
+            ]
+            for mix in mixes
+        },
     )
-    reductions: Dict[Tuple[str, str], float] = {}
-    for mix in mixes:
-        sequences = per_mix[mix]
-        baseline = cache.combined("baseline", sequences)
-        for scheduler in schedulers:
-            results = cache.combined(scheduler, sequences)
-            reductions[(mix, scheduler)] = mean_reduction_factor(
-                baseline, results
-            )
+    reductions = {
+        (mix, scheduler): mean_reduction_factor(
+            pools[(mix, "baseline")], pools[(mix, scheduler)]
+        )
+        for mix in mixes
+        for scheduler in schedulers
+    }
     return MixResult(
         mixes=tuple(mixes),
         schedulers=tuple(schedulers),

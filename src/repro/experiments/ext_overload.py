@@ -146,9 +146,9 @@ def run(
     worker processes; each worker rebuilds its controller from the
     picklable (policy name, seed) pair, so the seeded retry jitter — and
     therefore every aggregate — is identical to a serial run. ``cache``
-    contributes only its platform config and fan-out width; overload
-    cells are never stored in (or served from) the run cache, whose keys
-    do not encode the admission policy.
+    contributes only its fan-out width; overload cells are never stored
+    in (or served from) the run cache, whose keys do not encode the
+    admission policy.
     """
     from repro.experiments import parallel
 
@@ -174,7 +174,7 @@ def run(
         [
             parallel.ClosedCell(
                 scheduler, sequence, reduce=parallel.overload,
-                config=cache.config, admission=policy, seed=seeds[index],
+                admission=policy, seed=seeds[index],
             )
             for policy in policies
             for rate in rates

@@ -24,7 +24,7 @@ from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cluster import BoardProfile, Cluster, fleet_profiles
 from repro.experiments.runner import ExperimentSettings, RunCache, format_table
-from repro.workload.scenarios import STRESS, scenario_sequence
+from repro.workload.scenarios import STRESS
 
 #: Fleet sizes swept: 1 -> 64, doubling.
 FLEET_SIZES: Tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64)
@@ -59,10 +59,7 @@ def run_fleets(
     simulation and ``cache.mode`` picks its run mode; neither changes
     an outcome.
     """
-    sequences = [
-        scenario_sequence(STRESS, seed, settings.num_events)
-        for seed in settings.seeds()
-    ]
+    sequences = settings.sequences(STRESS)
     outcomes: Dict[Hashable, FleetOutcome] = {}
     for key, (profiles, placement) in fleets.items():
         responses: List[float] = []

@@ -27,7 +27,7 @@ from repro.experiments.runner import (
 )
 from repro.metrics.deadlines import violation_rate
 from repro.metrics.response import mean_reduction_factor
-from repro.workload.scenarios import SCENARIOS, Scenario, scenario_sequence
+from repro.workload.scenarios import SCENARIOS, Scenario
 
 #: Policies compared (against the shared no-sharing baseline).
 COMPARED: Tuple[str, ...] = ("edf", "dml_static", "prema", "nimblock")
@@ -69,24 +69,16 @@ def run(
     cache = cache or RunCache()
     settings = settings or ExperimentSettings.from_env()
     priorities = (1, 3, 9)
-    per_scenario = {
-        scenario.name: [
-            scenario_sequence(scenario, seed, settings.num_events)
-            for seed in settings.seeds()
-        ]
-        for scenario in scenarios
-    }
-    cache.prewarm(
+    pools = cache.grid(
         ("baseline", *schedulers),
-        [seq for seqs in per_scenario.values() for seq in seqs],
+        {s.name: settings.sequences(s) for s in scenarios},
     )
     reductions: Dict[Tuple[str, str], float] = {}
     tight: Dict[Tuple[str, str, int], float] = {}
     for scenario in scenarios:
-        sequences = per_scenario[scenario.name]
-        baseline = cache.combined("baseline", sequences)
+        baseline = pools[(scenario.name, "baseline")]
         for scheduler in schedulers:
-            results = cache.combined(scheduler, sequences)
+            results = pools[(scenario.name, scheduler)]
             reductions[(scenario.name, scheduler)] = mean_reduction_factor(
                 baseline, results
             )

@@ -15,17 +15,16 @@ seed-stable even where magnitudes wobble.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.runner import (
-    BASE_SEED,
     ExperimentSettings,
     RunCache,
     format_table,
 )
 from repro.metrics.response import mean_reduction_factor
-from repro.workload.scenarios import STRESS, scenario_sequence
+from repro.workload.scenarios import STRESS
 
 #: Independent replications (disjoint seed blocks).
 DEFAULT_BLOCKS = 5
@@ -89,27 +88,25 @@ def run(
     cache = cache or RunCache()
     settings = settings or ExperimentSettings.from_env()
     per_block_count = max(1, settings.num_sequences // 2)
-    per_block = {}
-    for block in range(blocks):
-        # Disjoint seeds: shift each block well past the default range.
-        base = BASE_SEED + 1000 * (block + 1)
-        per_block[block] = [
-            scenario_sequence(STRESS, base + i, settings.num_events)
-            for i in range(per_block_count)
-        ]
-    cache.prewarm(
+    pools = cache.grid(
         ("baseline", *schedulers),
-        [seq for seqs in per_block.values() for seq in seqs],
+        {
+            # Disjoint seeds: shift each block well past the settings' range.
+            block: replace(
+                settings,
+                num_sequences=per_block_count,
+                base_seed=settings.base_seed + 1000 * (block + 1),
+            ).sequences(STRESS)
+            for block in range(blocks)
+        },
     )
-    reductions: Dict[Tuple[int, str], float] = {}
-    for block in range(blocks):
-        sequences = per_block[block]
-        baseline = cache.combined("baseline", sequences)
-        for scheduler in schedulers:
-            results = cache.combined(scheduler, sequences)
-            reductions[(block, scheduler)] = mean_reduction_factor(
-                baseline, results
-            )
+    reductions = {
+        (block, scheduler): mean_reduction_factor(
+            pools[(block, "baseline")], pools[(block, scheduler)]
+        )
+        for block in range(blocks)
+        for scheduler in schedulers
+    }
     return SeedStudyResult(
         blocks=blocks,
         sequences_per_block=per_block_count,

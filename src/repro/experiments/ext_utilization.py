@@ -23,7 +23,7 @@ from repro.experiments.runner import (
 )
 from repro.metrics.utilization import UtilizationReport, board_utilization
 from repro.schedulers.registry import ALL_SCHEDULERS
-from repro.workload.scenarios import STRESS, scenario_sequence
+from repro.workload.scenarios import STRESS
 
 
 @dataclass(frozen=True)
@@ -59,10 +59,7 @@ def run(
 ) -> UtilizationResult:
     """Measure slot-time shares for every scheduler on the same stimuli."""
     settings = settings or ExperimentSettings.from_env()
-    sequences = [
-        scenario_sequence(STRESS, seed, settings.num_events)
-        for seed in settings.seeds()
-    ]
+    sequences = settings.sequences(STRESS)
     reports: Dict[str, UtilizationReport] = {}
     for name in schedulers:
         per_run: List[UtilizationReport] = []

@@ -20,10 +20,34 @@ from repro.experiments.runner import (
     RunCache,
     format_table,
 )
+from repro.hypervisor.results import AppResult
 from repro.workload.scenarios import ABLATION_BATCH_SIZES
 
 #: The benchmark Figure 10/11 zoom in on.
 TARGET_BENCHMARK = "alexnet"
+
+
+def target_runs(
+    settings: ExperimentSettings,
+    cache: RunCache,
+    batch_sizes: Sequence[int],
+    variants: Sequence[str],
+) -> Dict[Tuple[int, str], List[AppResult]]:
+    """The ablation runs' :data:`TARGET_BENCHMARK` results per (batch
+    size, variant), read through one grid (Figures 10 and 11)."""
+    pools = cache.grid(
+        variants, {b: _ablation_sequences(settings, b) for b in batch_sizes}
+    )
+    runs = {
+        key: [r for r in pool if r.name == TARGET_BENCHMARK]
+        for key, pool in pools.items()
+    }
+    if not all(runs.values()):
+        raise ExperimentError(
+            f"no {TARGET_BENCHMARK} events in the stimuli; increase "
+            "REPRO_SEQUENCES or REPRO_EVENTS"
+        )
+    return runs
 
 
 @dataclass(frozen=True)
@@ -50,32 +74,14 @@ def run(
     """Collect AlexNet responses from the ablation runs."""
     cache = cache or RunCache()
     settings = settings or ExperimentSettings.from_env()
-    per_batch = {
-        batch_size: _ablation_sequences(settings, batch_size)
-        for batch_size in batch_sizes
-    }
-    cache.prewarm(
-        variants,
-        [seq for seqs in per_batch.values() for seq in seqs],
-    )
+    runs = target_runs(settings, cache, batch_sizes, variants)
     response: Dict[Tuple[int, str], float] = {}
     samples: Dict[int, int] = {}
-    for batch_size in batch_sizes:
-        sequences = per_batch[batch_size]
-        for variant in variants:
-            results = [
-                r for r in cache.combined(variant, sequences)
-                if r.name == TARGET_BENCHMARK
-            ]
-            if not results:
-                raise ExperimentError(
-                    f"no {TARGET_BENCHMARK} events in the stimuli; increase "
-                    "REPRO_SEQUENCES or REPRO_EVENTS"
-                )
-            samples[batch_size] = len(results)
-            response[(batch_size, variant)] = sum(
-                r.response_ms for r in results
-            ) / len(results) / 1000.0
+    for (batch_size, variant), results in runs.items():
+        samples[batch_size] = len(results)
+        response[(batch_size, variant)] = sum(
+            r.response_ms for r in results
+        ) / len(results) / 1000.0
     return Fig10Result(
         batch_sizes=tuple(batch_sizes),
         variants=tuple(variants),

@@ -12,9 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.variants import ABLATION_NAMES
-from repro.errors import ExperimentError
-from repro.experiments.fig9_ablation import _ablation_sequences
-from repro.experiments.fig10_alexnet import TARGET_BENCHMARK
+from repro.experiments.fig10_alexnet import target_runs
 from repro.experiments.runner import (
     ExperimentSettings,
     RunCache,
@@ -46,30 +44,11 @@ def run(
     """Compute AlexNet throughput from the ablation runs."""
     cache = cache or RunCache()
     settings = settings or ExperimentSettings.from_env()
-    per_batch = {
-        batch_size: _ablation_sequences(settings, batch_size)
-        for batch_size in batch_sizes
+    runs = target_runs(settings, cache, batch_sizes, variants)
+    throughput = {
+        key: sum(r.throughput_items_per_s for r in results) / len(results)
+        for key, results in runs.items()
     }
-    cache.prewarm(
-        variants,
-        [seq for seqs in per_batch.values() for seq in seqs],
-    )
-    throughput: Dict[Tuple[int, str], float] = {}
-    for batch_size in batch_sizes:
-        sequences = per_batch[batch_size]
-        for variant in variants:
-            results = [
-                r for r in cache.combined(variant, sequences)
-                if r.name == TARGET_BENCHMARK
-            ]
-            if not results:
-                raise ExperimentError(
-                    f"no {TARGET_BENCHMARK} events in the stimuli; increase "
-                    "REPRO_SEQUENCES or REPRO_EVENTS"
-                )
-            throughput[(batch_size, variant)] = sum(
-                r.throughput_items_per_s for r in results
-            ) / len(results)
     return Fig11Result(
         batch_sizes=tuple(batch_sizes),
         variants=tuple(variants),

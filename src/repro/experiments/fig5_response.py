@@ -21,7 +21,7 @@ from repro.experiments.runner import (
 )
 from repro.metrics.response import mean_reduction_factor
 from repro.schedulers.registry import SHARING_SCHEDULERS
-from repro.workload.scenarios import SCENARIOS, Scenario, scenario_sequence
+from repro.workload.scenarios import SCENARIOS, Scenario
 
 
 @dataclass(frozen=True)
@@ -53,26 +53,18 @@ def run(
     """Execute (or reuse) all runs and compute the Figure 5 matrix."""
     cache = cache or RunCache()
     settings = settings or ExperimentSettings.from_env()
-    per_scenario = {
-        scenario.name: [
-            scenario_sequence(scenario, seed, settings.num_events)
-            for seed in settings.seeds()
-        ]
-        for scenario in scenarios
-    }
-    cache.prewarm(
+    pools = cache.grid(
         ("baseline", *schedulers),
-        [seq for seqs in per_scenario.values() for seq in seqs],
+        {s.name: settings.sequences(s) for s in scenarios},
     )
-    reductions: Dict[Tuple[str, str], float] = {}
-    for scenario in scenarios:
-        sequences = per_scenario[scenario.name]
-        baseline = cache.combined("baseline", sequences)
-        for scheduler in schedulers:
-            results = cache.combined(scheduler, sequences)
-            reductions[(scenario.name, scheduler)] = mean_reduction_factor(
-                baseline, results
-            )
+    reductions = {
+        (scenario.name, scheduler): mean_reduction_factor(
+            pools[(scenario.name, "baseline")],
+            pools[(scenario.name, scheduler)],
+        )
+        for scenario in scenarios
+        for scheduler in schedulers
+    }
     return Fig5Result(
         scenarios=tuple(s.name for s in scenarios),
         schedulers=tuple(schedulers),

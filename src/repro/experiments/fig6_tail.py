@@ -19,7 +19,7 @@ from repro.experiments.runner import (
 )
 from repro.metrics.response import tail_normalized_response
 from repro.schedulers.registry import SHARING_SCHEDULERS
-from repro.workload.scenarios import SCENARIOS, Scenario, scenario_sequence
+from repro.workload.scenarios import SCENARIOS, Scenario
 
 #: The two tail percentiles of Figure 6.
 TAIL_PERCENTILES: Tuple[float, float] = (95.0, 99.0)
@@ -54,27 +54,20 @@ def run(
     """Compute the Figure 6 tail matrix (reusing Figure 5's runs)."""
     cache = cache or RunCache()
     settings = settings or ExperimentSettings.from_env()
-    per_scenario = {
-        scenario.name: [
-            scenario_sequence(scenario, seed, settings.num_events)
-            for seed in settings.seeds()
-        ]
-        for scenario in scenarios
-    }
-    cache.prewarm(
+    pools = cache.grid(
         ("baseline", *schedulers),
-        [seq for seqs in per_scenario.values() for seq in seqs],
+        {s.name: settings.sequences(s) for s in scenarios},
     )
-    tails: Dict[Tuple[str, float, str], float] = {}
-    for scenario in scenarios:
-        sequences = per_scenario[scenario.name]
-        baseline = cache.combined("baseline", sequences)
-        for scheduler in schedulers:
-            results = cache.combined(scheduler, sequences)
-            for pct in TAIL_PERCENTILES:
-                tails[(scenario.name, pct, scheduler)] = (
-                    tail_normalized_response(baseline, results, pct)
-                )
+    tails = {
+        (scenario.name, pct, scheduler): tail_normalized_response(
+            pools[(scenario.name, "baseline")],
+            pools[(scenario.name, scheduler)],
+            pct,
+        )
+        for scenario in scenarios
+        for scheduler in schedulers
+        for pct in TAIL_PERCENTILES
+    }
     return Fig6Result(
         scenarios=tuple(s.name for s in scenarios),
         schedulers=tuple(schedulers),

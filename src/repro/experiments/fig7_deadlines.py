@@ -25,7 +25,7 @@ from repro.metrics.deadlines import (
     deadline_curve,
 )
 from repro.schedulers.registry import ALL_SCHEDULERS
-from repro.workload.scenarios import SCENARIOS, Scenario, scenario_sequence
+from repro.workload.scenarios import SCENARIOS, Scenario
 
 #: Priority level whose deadlines the paper analyzes (high priority).
 ANALYZED_PRIORITY = 9
@@ -72,25 +72,18 @@ def run(
     """Sweep deadline scaling factors over the scenario runs."""
     cache = cache or RunCache()
     settings = settings or ExperimentSettings.from_env()
-    per_scenario = {
-        scenario.name: [
-            scenario_sequence(scenario, seed, settings.num_events)
-            for seed in settings.seeds()
-        ]
-        for scenario in scenarios
-    }
-    cache.prewarm(
+    pools = cache.grid(
         schedulers,
-        [seq for seqs in per_scenario.values() for seq in seqs],
+        {s.name: settings.sequences(s) for s in scenarios},
     )
-    curves: Dict[Tuple[str, str], DeadlineCurve] = {}
-    for scenario in scenarios:
-        sequences = per_scenario[scenario.name]
-        for scheduler in schedulers:
-            results = cache.combined(scheduler, sequences)
-            curves[(scenario.name, scheduler)] = deadline_curve(
-                scheduler, results, ds_values, priority=priority
-            )
+    curves = {
+        (scenario.name, scheduler): deadline_curve(
+            scheduler, pools[(scenario.name, scheduler)], ds_values,
+            priority=priority,
+        )
+        for scenario in scenarios
+        for scheduler in schedulers
+    }
     return Fig7Result(
         scenarios=tuple(s.name for s in scenarios),
         schedulers=tuple(schedulers),

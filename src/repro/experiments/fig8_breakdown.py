@@ -18,7 +18,7 @@ from repro.experiments.runner import (
     format_table,
 )
 from repro.metrics.breakdown import TimeBreakdown, breakdown_by_benchmark
-from repro.workload.scenarios import STANDARD, scenario_sequence
+from repro.workload.scenarios import STANDARD
 
 
 @dataclass(frozen=True)
@@ -43,14 +43,12 @@ def run(
     """Break down application time under one scheduler (standard test)."""
     cache = cache or RunCache()
     settings = settings or ExperimentSettings.from_env()
-    sequences = [
-        scenario_sequence(STANDARD, seed, settings.num_events)
-        for seed in settings.seeds()
-    ]
-    cache.prewarm((scheduler,), sequences)
-    results = cache.combined(scheduler, sequences)
+    pools = cache.grid(
+        (scheduler,), {STANDARD.name: settings.sequences(STANDARD)}
+    )
     return Fig8Result(
-        scheduler=scheduler, breakdowns=breakdown_by_benchmark(results)
+        scheduler=scheduler,
+        breakdowns=breakdown_by_benchmark(pools[(STANDARD.name, scheduler)]),
     )
 
 

@@ -75,21 +75,16 @@ def run(
     """Run the ablation grid: fixed batches x Nimblock variants."""
     cache = cache or RunCache()
     settings = settings or ExperimentSettings.from_env()
-    per_batch = {
-        batch_size: _ablation_sequences(settings, batch_size)
-        for batch_size in batch_sizes
-    }
-    cache.prewarm(
+    pools = cache.grid(
         ("nimblock", *variants),
-        [seq for seqs in per_batch.values() for seq in seqs],
+        {b: _ablation_sequences(settings, b) for b in batch_sizes},
     )
     relative: Dict[Tuple[int, str], float] = {}
     for batch_size in batch_sizes:
-        sequences = per_batch[batch_size]
-        full = cache.combined("nimblock", sequences)
         for variant in variants:
-            results = cache.combined(variant, sequences)
-            ratios = normalized_responses(full, results)
+            ratios = normalized_responses(
+                pools[(batch_size, "nimblock")], pools[(batch_size, variant)]
+            )
             relative[(batch_size, variant)] = sum(ratios) / len(ratios)
     return Fig9Result(
         batch_sizes=tuple(batch_sizes),

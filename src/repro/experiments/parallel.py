@@ -262,5 +262,5 @@ def run_cells(
     jobs: Optional[int] = None,
 ) -> list:
     """Fan cells out; one reduced outcome per cell, in cell order.
-    Cache-free: only ``RunCache.prewarm`` stores (plain ``results``)."""
+    Cache-free: only ``RunCache`` stores, and only plain ``results``."""
     return fanout(_run, cells, jobs=jobs)

@@ -343,20 +343,16 @@ def _prewarm_shared_runs(
 
     Figures 5-8 reuse the scenario sequences and Table 3 its fixed-batch
     workload; prewarming them together gives the parallel executor the
-    widest fan-out, after which the per-figure prewarms are pure lookups.
+    widest fan-out, after which the per-figure grids are pure lookups.
     """
     from repro.experiments.table3 import TABLE3_BATCH, TABLE3_DELAY_MS
     from repro.schedulers.registry import ALL_SCHEDULERS
-    from repro.workload.scenarios import (
-        SCENARIOS,
-        fixed_batch_sequence,
-        scenario_sequence,
-    )
+    from repro.workload.scenarios import SCENARIOS, fixed_batch_sequence
 
     sequences = [
-        scenario_sequence(scenario, seed, settings.num_events)
+        sequence
         for scenario in SCENARIOS
-        for seed in settings.seeds()
+        for sequence in settings.sequences(scenario)
     ]
     sequences.extend(
         fixed_batch_sequence(

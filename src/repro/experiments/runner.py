@@ -7,17 +7,20 @@ sequences. Those are the defaults here; ``ExperimentSettings`` honours the
 variables so the benchmark harness can be scaled down for quick runs or up
 for full fidelity without code changes.
 
-``RunCache`` is a two-tier memoization layer for simulation runs:
+``RunCache`` is a two-tier memoization layer for simulation runs, each
+keyed by (scheduler, sequence, platform):
 
 * **memory tier** — per-instance dict, exactly one simulation per
-  (scheduler, stimulus) pair within a harness instance;
+  (scheduler, stimulus, :class:`SystemConfig`) within a harness instance;
 * **disk tier** (optional, ``cache_dir=...``) — content-addressed JSON
   records keyed by scheduler name, sequence label, a fingerprint of the
-  sequence's events, a fingerprint of the :class:`SystemConfig`, and a
-  code-version salt. Repeated figure/bench invocations hit disk instead
-  of re-simulating; any config or stimulus change misses by construction.
+  sequence's events, a fingerprint of the run's :class:`SystemConfig`,
+  and a code-version salt. Repeated figure/bench invocations hit disk
+  instead of re-simulating; any config or stimulus change misses by
+  construction.
 
-``prewarm`` fans missing runs out over a process pool (see
+``grid`` (and ``prewarm``, its default-platform form) fans every missing
+run out over a process pool in one batch (see
 :mod:`repro.experiments.parallel`); because the simulation engine is fully
 deterministic, parallel and serial execution produce identical
 :class:`AppResult` lists.
@@ -25,22 +28,25 @@ deterministic, parallel and serial execution produce identical
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+    TYPE_CHECKING, Dict, Hashable, Iterable, List, Mapping, Optional,
+    Sequence, Tuple, Union,
 )
 
-from repro.config import SystemConfig
+from repro.config import ZCU106_CONFIG, SystemConfig
 from repro.errors import ExperimentError
 from repro.hypervisor.hypervisor import Hypervisor
 from repro.hypervisor.results import AppResult
 from repro.modes import normalize_mode
 from repro.schedulers.registry import make_scheduler
 from repro.workload.events import EventSequence
+from repro.workload.scenarios import Scenario, scenario_sequence
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.admission import AdmissionPolicy, WatchdogConfig
@@ -96,6 +102,13 @@ class ExperimentSettings:
     def seeds(self) -> List[int]:
         """Seed per sequence."""
         return [self.base_seed + i for i in range(self.num_sequences)]
+
+    def sequences(self, scenario: Scenario) -> List[EventSequence]:
+        """One ``scenario`` stimulus per seed."""
+        return [
+            scenario_sequence(scenario, seed, self.num_events)
+            for seed in self.seeds()
+        ]
 
 
 def run_closed(
@@ -169,12 +182,14 @@ def run_sequence(
     ).results()
 
 
+@functools.lru_cache(maxsize=256)
 def config_fingerprint(config: SystemConfig) -> str:
     """Stable content hash of a :class:`SystemConfig`.
 
     Any field change (slot count, reconfiguration latency, token alpha,
     ...) changes the fingerprint, so disk-cache entries recorded under a
-    different platform can never satisfy a lookup.
+    different platform can never satisfy a lookup. Memoized, because
+    every run key computes it.
     """
     canonical = json.dumps(asdict(config), sort_keys=True, default=list)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -192,35 +207,40 @@ def sequence_fingerprint(sequence: EventSequence) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+#: A cached run: (scheduler, sequence label, platform fingerprint).
+RunKey = Tuple[str, str, str]
+
+
 class RunCache:
     """Two-tier memoization of simulation runs per (scheduler, stimulus,
     platform).
 
     Figures 5-8 all consume the same stimuli; within one harness instance
-    each (scheduler, sequence) pair simulates exactly once (memory tier).
-    With ``cache_dir`` set, completed runs are additionally persisted as
-    content-addressed JSON records so *separate* invocations (CLI runs,
-    bench sessions, CI jobs) skip simulation entirely; a warm rerun
-    performs zero simulations.
+    each (scheduler, sequence, platform) run simulates exactly once
+    (memory tier). With ``cache_dir`` set, completed runs are additionally
+    persisted as content-addressed JSON records so *separate* invocations
+    (CLI runs, bench sessions, CI jobs) skip simulation entirely; a warm
+    rerun performs zero simulations.
 
     It also carries an experiment's run settings: every registered study
-    reads its ``config``, ``jobs`` and ``mode`` from the cache it is given.
+    reads its ``jobs`` and ``mode`` from the cache it is given. Studies
+    read plain closed runs through :meth:`grid`, which names each group's
+    platform; :meth:`results`, :meth:`combined` and :meth:`prewarm` run
+    on the paper's platform (``ZCU106_CONFIG``).
 
     Counters: ``simulations`` (real engine runs), ``memory_hits`` and
-    ``disk_hits`` describe where each ``results`` call was served from.
+    ``disk_hits`` describe where each run read was served from.
     """
 
     def __init__(
         self,
-        config: Optional[SystemConfig] = None,
         cache_dir: Optional[Union[str, Path]] = None,
         jobs: Optional[int] = None,
         mode: str = "full",
     ) -> None:
-        self.config = config or SystemConfig()
         self.cache_dir = Path(cache_dir) if cache_dir else None
-        #: Worker count for :meth:`prewarm` and every study reading this
-        #: cache (None = REPRO_JOBS or 1).
+        #: Worker count for :meth:`grid`, :meth:`prewarm` and every study
+        #: reading this cache (None = REPRO_JOBS or 1).
         self.jobs = jobs
         #: Run mode for fresh simulations, here and in every study that
         #: reads no trace rows. Deliberately NOT part of the disk-cache
@@ -228,17 +248,16 @@ class RunCache:
         #: ``tests/test_mode_equivalence.py``), so either mode may satisfy
         #: a lookup recorded by the other.
         self.mode = normalize_mode(mode)
-        self._runs: Dict[Tuple[str, str], List[AppResult]] = {}
+        self._runs: Dict[RunKey, List[AppResult]] = {}
         self._label_fingerprints: Dict[str, str] = {}
-        self._config_fingerprint = config_fingerprint(self.config)
         self.simulations = 0
         self.memory_hits = 0
         self.disk_hits = 0
 
     # -- keying ------------------------------------------------------------
     def _key(
-        self, scheduler_name: str, sequence: EventSequence
-    ) -> Tuple[str, str]:
+        self, name: str, sequence: EventSequence, config: SystemConfig
+    ) -> RunKey:
         if not sequence.label:
             raise ExperimentError(
                 "cached runs need labelled sequences (set EventSequence.label)"
@@ -253,58 +272,61 @@ class RunCache:
                 "events (same label, different seed or contents); cached "
                 "results would silently mix stimuli"
             )
-        return (scheduler_name, sequence.label)
+        return (name, sequence.label, config_fingerprint(config))
 
     def _disk_path(
-        self, scheduler_name: str, sequence: EventSequence
+        self, key: RunKey, sequence: EventSequence
     ) -> Optional[Path]:
         if self.cache_dir is None:
             return None
+        scheduler_name, label, platform = key
         key_material = json.dumps(
             {
                 "salt": CACHE_SALT,
                 "scheduler": scheduler_name,
-                "label": sequence.label,
+                "label": label,
                 "sequence": sequence_fingerprint(sequence),
-                "config": self._config_fingerprint,
+                "config": platform,
             },
             sort_keys=True,
         )
         digest = hashlib.sha256(key_material.encode("utf-8")).hexdigest()
         return self.cache_dir / f"{digest}.json"
 
-    # -- disk tier ---------------------------------------------------------
-    def _disk_load(
-        self, scheduler_name: str, sequence: EventSequence
-    ) -> Optional[List[AppResult]]:
-        path = self._disk_path(scheduler_name, sequence)
+    # -- tiers -------------------------------------------------------------
+    def _load(self, key: RunKey, sequence: EventSequence) -> bool:
+        """Whether the disk tier held the run, now promoted to memory."""
+        path = self._disk_path(key, sequence)
         if path is None or not path.exists():
-            return None
+            return False
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
             records = payload["results"]
-            return [AppResult(**record) for record in records]
+            self._runs[key] = [AppResult(**record) for record in records]
         except (ValueError, KeyError, TypeError) as error:
             raise ExperimentError(
                 f"corrupt run-cache entry {path}: {error}; delete the file "
                 "or call RunCache.invalidate(disk=True)"
             )
+        self.disk_hits += 1
+        return True
 
-    def _disk_store(
-        self,
-        scheduler_name: str,
-        sequence: EventSequence,
+    def _store(
+        self, key: RunKey, sequence: EventSequence, config: SystemConfig,
         results: List[AppResult],
     ) -> None:
-        path = self._disk_path(scheduler_name, sequence)
+        """Record one fresh simulation in memory and, if set, on disk."""
+        self.simulations += 1
+        self._runs[key] = results
+        path = self._disk_path(key, sequence)
         if path is None:
             return
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "salt": CACHE_SALT,
-            "scheduler": scheduler_name,
+            "scheduler": key[0],
             "label": sequence.label,
-            "config": asdict(self.config),
+            "config": asdict(config),
             "results": [asdict(result) for result in results],
         }
         # Atomic publish: concurrent workers/processes may race on the same
@@ -315,28 +337,48 @@ class RunCache:
         )
         os.replace(tmp, path)
 
+    def _fill(
+        self,
+        runs: Iterable[Tuple[str, EventSequence, SystemConfig]],
+        jobs: Optional[int] = None,
+    ) -> int:
+        """Load or simulate every missing ``(scheduler, sequence, config)``
+        run; the simulations fan out in one batch over ``jobs`` worker
+        processes (``None`` falls back to this cache's ``jobs``, then
+        ``REPRO_JOBS``, then serial). Returns the fresh simulation count.
+        """
+        from repro.experiments import parallel
+
+        pending: Dict[RunKey, parallel.ClosedCell] = {}
+        for name, sequence, config in runs:
+            key = self._key(name, sequence, config)
+            if key in self._runs or key in pending:
+                continue
+            if not self._load(key, sequence):
+                pending[key] = parallel.ClosedCell(
+                    name, sequence, config=config, mode=self.mode
+                )
+        outcomes = parallel.run_cells(
+            list(pending.values()), jobs=self.jobs if jobs is None else jobs
+        )
+        for (key, cell), results in zip(pending.items(), outcomes):
+            self._store(key, cell.sequence, cell.config, results)
+        return len(pending)
+
     # -- public API --------------------------------------------------------
     def results(
         self, scheduler_name: str, sequence: EventSequence
     ) -> List[AppResult]:
         """Results for one run: memory, then disk, then simulate."""
-        key = self._key(scheduler_name, sequence)
-        cached = self._runs.get(key)
-        if cached is not None:
+        key = self._key(scheduler_name, sequence, ZCU106_CONFIG)
+        if key in self._runs:
             self.memory_hits += 1
-            return cached
-        loaded = self._disk_load(scheduler_name, sequence)
-        if loaded is not None:
-            self.disk_hits += 1
-            self._runs[key] = loaded
-            return loaded
-        results = run_sequence(
-            scheduler_name, sequence, self.config, self.mode
-        )
-        self.simulations += 1
-        self._runs[key] = results
-        self._disk_store(scheduler_name, sequence, results)
-        return results
+        elif not self._load(key, sequence):
+            results = run_sequence(
+                scheduler_name, sequence, ZCU106_CONFIG, self.mode
+            )
+            self._store(key, sequence, ZCU106_CONFIG, results)
+        return self._runs[key]
 
     def combined(
         self, scheduler_name: str, sequences: Sequence[EventSequence]
@@ -353,50 +395,53 @@ class RunCache:
         sequences: Sequence[EventSequence],
         jobs: Optional[int] = None,
     ) -> int:
-        """Simulate every missing (scheduler, sequence) pair, in parallel.
+        """Load or simulate every (scheduler, sequence) pair on the paper's
+        platform, in one fan-out over ``jobs`` workers (default: this
+        cache's), so later ``results``/``combined`` calls are pure
+        lookups. Returns the number of fresh simulations performed."""
+        return self._fill(
+            (
+                (name, sequence, ZCU106_CONFIG)
+                for name in schedulers
+                for sequence in sequences
+            ),
+            jobs,
+        )
 
-        Pairs already in memory or on disk are skipped; the rest fan out
-        over ``jobs`` worker processes (``None`` falls back to this cache's
-        ``jobs``, then ``REPRO_JOBS``, then serial). Results land in both
-        tiers, so subsequent ``results``/``combined`` calls are pure
-        lookups. Returns the number of fresh simulations performed.
+    def grid(
+        self,
+        schedulers: Sequence[str],
+        groups: Mapping[Hashable, Sequence[EventSequence]],
+        configs: Optional[Mapping[Hashable, SystemConfig]] = None,
+    ) -> Dict[Tuple[Hashable, str], List[AppResult]]:
+        """Each scheduler's results pooled per group: ``{(group,
+        scheduler): results}``.
 
-        Serial (``jobs=1``) and parallel execution run the same
-        deterministic engine on identical inputs, so the cached results
-        are independent of the worker count.
+        Group ``g`` runs on ``configs[g]``, else on ``ZCU106_CONFIG``.
+        Every missing run of the whole grid is loaded or simulated in one
+        fan-out over this cache's ``jobs``; each pool then concatenates
+        one scheduler's results in sequence order, every run read
+        counting one memory hit.
         """
-        from repro.experiments import parallel
-
-        pending: List[Tuple[Tuple[str, str], str, EventSequence]] = []
-        seen_keys = set()
-        for name in dict.fromkeys(schedulers):
-            for sequence in sequences:
-                key = self._key(name, sequence)
-                if key in self._runs or key in seen_keys:
-                    continue
-                loaded = self._disk_load(name, sequence)
-                if loaded is not None:
-                    self.disk_hits += 1
-                    self._runs[key] = loaded
-                    continue
-                seen_keys.add(key)
-                pending.append((key, name, sequence))
-        if not pending:
-            return 0
-        cells = [
-            parallel.ClosedCell(
-                name, sequence, config=self.config, mode=self.mode
-            )
-            for _, name, sequence in pending
-        ]
-        width = self.jobs if jobs is None else jobs
-        for (key, name, sequence), results in zip(
-            pending, parallel.run_cells(cells, jobs=width)
-        ):
-            self.simulations += 1
-            self._runs[key] = results
-            self._disk_store(name, sequence, results)
-        return len(pending)
+        platform = {g: (configs or {}).get(g, ZCU106_CONFIG) for g in groups}
+        # Sequence-major fan-out order: each worker's contiguous share of
+        # the batch then spans every group and scheduler, so no worker
+        # draws only the costly columns (a Nimblock run against a
+        # baseline one, a batch-20 ablation against a batch-1 one).
+        self._fill(
+            (name, sequences[index], platform[group])
+            for index in range(max(map(len, groups.values()), default=0))
+            for group, sequences in groups.items()
+            if index < len(sequences)
+            for name in schedulers
+        )
+        pools: Dict[Tuple[Hashable, str], List[AppResult]] = {}
+        for group, sequences in groups.items():
+            for name in schedulers:
+                keys = [self._key(name, s, platform[group]) for s in sequences]
+                pools[(group, name)] = [r for k in keys for r in self._runs[k]]
+                self.memory_hits += len(keys)
+        return pools
 
     def invalidate(self, disk: bool = False) -> None:
         """Drop the memory tier; with ``disk=True`` also delete every disk

@@ -72,9 +72,9 @@ def run(
         )
         for seed in settings.seeds()
     ]
-    cache.prewarm(("baseline", *schedulers), sequences)
+    pools = cache.grid(("baseline", *schedulers), {TABLE3_BATCH: sequences})
 
-    baseline = cache.combined("baseline", sequences)
+    baseline = pools[(TABLE3_BATCH, "baseline")]
     seen = {result.name for result in baseline}
     missing = set(BENCHMARK_NAMES) - seen
     if missing:
@@ -96,7 +96,7 @@ def run(
 
     response: Dict[Tuple[str, str], float] = {}
     for scheduler in schedulers:
-        results = cache.combined(scheduler, sequences)
+        results = pools[(TABLE3_BATCH, scheduler)]
         for name, mean in _mean_by_benchmark(results).items():
             response[(scheduler, name)] = mean
     return Table3Result(

@@ -88,6 +88,17 @@ class TestSeedSensitivity:
         assert "seed sensitivity" in text
         assert "cv" in text
 
+    def test_blocks_follow_the_settings_base_seed(self):
+        from repro.experiments import ext_seeds
+
+        default = ext_seeds.run(
+            ExperimentSettings(2, 4), RunCache(), blocks=2
+        )
+        moved = ext_seeds.run(
+            ExperimentSettings(2, 4, base_seed=7), RunCache(), blocks=2
+        )
+        assert moved.reductions != default.reductions
+
 
 class TestHeteroFleets:
     def test_fleets_complete_and_report(self):

@@ -43,6 +43,9 @@ REGISTRY = sorted(scheduler_factories())
 #: Small but non-trivial stimuli shared by the determinism tests.
 SETTINGS = ExperimentSettings(num_sequences=2, num_events=6)
 
+#: One short stimulus per scenario, for the grid contract tests.
+TINY = ExperimentSettings(1, 6)
+
 
 def _sequences():
     return [
@@ -236,10 +239,16 @@ class TestDiskCache:
 
     def test_config_change_misses_instead_of_stale_hit(self, tmp_path):
         sequence = _sequences()[0]
-        ten_slots = RunCache(SystemConfig(num_slots=10), cache_dir=tmp_path)
-        ten_slots.results("nimblock", sequence)
-        five_slots = RunCache(SystemConfig(num_slots=5), cache_dir=tmp_path)
-        five_slots.results("nimblock", sequence)
+        ten_slots = RunCache(cache_dir=tmp_path)
+        ten_slots.grid(
+            ("nimblock",), {10: [sequence]},
+            configs={10: SystemConfig(num_slots=10)},
+        )
+        five_slots = RunCache(cache_dir=tmp_path)
+        five_slots.grid(
+            ("nimblock",), {5: [sequence]},
+            configs={5: SystemConfig(num_slots=5)},
+        )
         assert five_slots.simulations == 1, (
             "a different SystemConfig must never be served a cached run"
         )
@@ -266,6 +275,56 @@ class TestDiskCache:
         fresh = RunCache(cache_dir=tmp_path)
         with pytest.raises(ExperimentError, match="corrupt"):
             fresh.results("fcfs", sequence)
+
+
+class TestGrid:
+    """One grid read: every study's plain closed runs share the cache,
+    keyed per (scheduler, sequence, platform)."""
+
+    def test_platforms_are_separate_runs(self):
+        cache = RunCache()
+        sequence = TINY.sequences(STRESS)[0]
+        pools = cache.grid(
+            ("nimblock",), {4: [sequence], 10: [sequence]},
+            configs={4: SystemConfig(num_slots=4),
+                     10: SystemConfig(num_slots=10)},
+        )
+        assert cache.simulations == 2
+        assert pools[(4, "nimblock")] != pools[(10, "nimblock")]
+
+    def test_pools_equal_combined_reads_for_uneven_groups(self):
+        sequences = _sequences()
+        cache = RunCache(jobs=2)
+        pools = cache.grid(
+            ("fcfs", "rr"), {"both": sequences, "first": sequences[:1]}
+        )
+        for name in ("fcfs", "rr"):
+            assert pools[("both", name)] == cache.combined(name, sequences)
+            assert pools[("first", name)] == cache.combined(
+                name, sequences[:1]
+            )
+        assert cache.simulations == 2 * len(sequences)
+
+    def test_default_platform_runs_are_shared_across_studies(self):
+        from repro.experiments import ext_estimates, fig5_response
+
+        cache = RunCache()
+        fig5_response.run(TINY, cache)
+        before = cache.simulations
+        ext_estimates.run(TINY, cache, error_levels=(0.0, 0.1))
+        # Error 0.0 is the default platform: fig5's stress runs serve it.
+        assert cache.simulations - before == 3
+
+    def test_platform_sweep_is_served_from_disk(self, tmp_path):
+        from repro.experiments import ext_capacity
+
+        ext_capacity.run(
+            TINY, RunCache(cache_dir=tmp_path), slot_counts=(4, 10)
+        )
+        warm = RunCache(cache_dir=tmp_path)
+        ext_capacity.run(TINY, warm, slot_counts=(4, 10))
+        assert warm.simulations == 0
+        assert warm.disk_hits == 2
 
 
 class TestCacheKeying:
