@@ -28,13 +28,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
 from repro.errors import AdmissionError, InvariantViolation, ReproError
 from repro.experiments.registry import experiment_names, get_experiment
 from repro.experiments.runner import ExperimentSettings, RunCache
 from repro.version import __version__
-from repro.workload.scenarios import CHAOS_SCENARIOS, SCENARIOS
+from repro.workload.scenarios import CHAOS_SCENARIOS, SCENARIOS, chaos_scenario
 
 #: Exit codes of :func:`main` (argparse itself exits 2 on bad usage).
 EXIT_OK = 0
@@ -66,10 +67,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(experiment_names()) + list(ACTIONS),
         help=(
             "which table/figure to regenerate ('all' runs everything; "
-            "'chaos' runs a one-shot fault-injection drill; 'cluster' "
-            "runs a one-shot multi-board fleet drill; 'overload' "
-            "runs a one-shot admission-policy drill; 'serve' runs an "
-            "open-loop online-service drill; 'trace' "
+            "'chaos' and 'overload' run the ext-faults and ext-overload "
+            "studies on the one --seed stimulus as one-shot drills; "
+            "'cluster' runs a one-shot multi-board fleet drill; 'serve' "
+            "runs an open-loop online-service drill; 'trace' "
             "exports one observed run as Chrome/Perfetto or JSONL; "
             "'stats' emits Prometheus-format metrics for a sweep; "
             "'tune' runs the closed-loop remediation drill)"
@@ -81,14 +82,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--events", type=int, default=None,
-        help="events per sequence (paper: 20)",
+        help=(
+            "events per sequence (paper: 20); 'overload' runs this many "
+            "events, or 8x REPRO_EVENTS (160) when the flag is absent"
+        ),
     )
     parser.add_argument(
         "--jobs", type=int, default=None,
         help=(
-            "worker processes for the parallel sweep executor "
-            "(default: REPRO_JOBS or 1; results are identical at any "
-            "worker count)"
+            "worker processes for the parallel sweep executor of the "
+            "studies and of the chaos, overload, serve, cluster, stats "
+            "and tune drills (default: REPRO_JOBS or 1; results are "
+            "identical at any worker count)"
         ),
     )
     parser.add_argument(
@@ -169,7 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--rate-multiplier", type=float, default=4.0,
         help=(
             "'overload' arrival-rate multiplier versus the workload's "
-            "nominal inter-arrival delays (default: 4.0)"
+            "nominal inter-arrival delays, compared against 1x "
+            "(default: 4.0)"
         ),
     )
     serve = parser.add_argument_group(
@@ -278,8 +284,6 @@ def _workload_scenario(name: Optional[str]):
 
 def _fault_config(args: argparse.Namespace, default_rate: float):
     """Resolve --scenario/--fault-rate/--seed into a FaultConfig or None."""
-    from repro.workload.scenarios import chaos_scenario
-
     rate = args.fault_rate if args.fault_rate is not None else default_rate
     if rate <= 0.0:
         return None
@@ -287,33 +291,56 @@ def _fault_config(args: argparse.Namespace, default_rate: float):
 
 
 def _run_chaos(args: argparse.Namespace, settings: ExperimentSettings) -> int:
-    """The one-shot fault-injection drill (``chaos``)."""
+    """The one-shot fault-injection drill (``chaos``): the ext-faults
+    study on the one ``--seed`` stimulus, fault-free and at
+    ``--fault-rate``."""
     from repro.experiments import ext_faults
 
     rate = args.fault_rate if args.fault_rate is not None else 0.05
-    print(ext_faults.chaos_report(
-        scenario_name=args.scenario,
-        fault_rate=rate,
-        seed=args.seed,
-        num_events=args.events or settings.num_events,
-        workload_name=args.workload or "stress",
-    ))
+    workload = _workload_scenario(args.workload)
+    result = ext_faults.run(
+        replace(settings, num_sequences=1, base_seed=args.seed),
+        RunCache(jobs=args.jobs),
+        scenario=chaos_scenario(args.scenario),
+        workload=workload,
+        fault_rates=(0.0, rate) if rate else (0.0,),
+    )
+    print(
+        f"Chaos drill: scenario={args.scenario} fault_rate={rate:g} "
+        f"workload={workload.name} seed={args.seed} "
+        f"events={settings.num_events}"
+    )
+    print(ext_faults.format_result(result))
     return EXIT_OK
 
 
 def _run_overload(
     args: argparse.Namespace, settings: ExperimentSettings
 ) -> int:
-    """The one-shot admission-policy drill (``overload``)."""
+    """The one-shot admission-policy drill (``overload``): the
+    ext-overload study on the one ``--seed`` stimulus, at 1x and
+    ``--rate-multiplier``."""
     from repro.experiments import ext_overload
 
-    print(ext_overload.overload_report(
-        rate_multiplier=args.rate_multiplier,
-        seed=args.seed,
-        num_events=args.events,
-        workload_name=args.workload or "overload",
-        scheduler=args.scheduler or "fcfs",
-    ))
+    rate = args.rate_multiplier
+    scheduler = args.scheduler or "fcfs"
+    workload = _workload_scenario(args.workload or "overload")
+    num_events = args.events or (
+        settings.num_events * ext_overload.OVERLOAD_BURST_FACTOR
+    )
+    result = ext_overload.run(
+        replace(settings, num_sequences=1, base_seed=args.seed),
+        RunCache(jobs=args.jobs),
+        workload=workload,
+        scheduler=scheduler,
+        rate_multipliers=(1.0, rate) if rate != 1.0 else (1.0,),
+        num_events=num_events,
+    )
+    print(
+        f"Overload drill: rate={rate:g}x workload={workload.name} "
+        f"scheduler={scheduler} seed={args.seed} events={num_events}"
+    )
+    print(ext_overload.format_result(result))
     return EXIT_OK
 
 
@@ -496,11 +523,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
     args = build_parser().parse_args(argv)
     settings = ExperimentSettings.from_env()
-    if args.sequences is not None or args.events is not None:
-        settings = ExperimentSettings(
-            num_sequences=args.sequences or settings.num_sequences,
-            num_events=args.events or settings.num_events,
-        )
+    settings = replace(
+        settings,
+        num_sequences=args.sequences or settings.num_sequences,
+        num_events=args.events or settings.num_events,
+    )
     try:
         if args.experiment == "chaos":
             return _run_chaos(args, settings)

@@ -30,6 +30,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro.experiments.parallel import ServiceCell, run_cells
 from repro.experiments.runner import ExperimentSettings, RunCache
 from repro.metrics.slo import DEFAULT_SERVICE_SLO, SloTarget
+from repro.service import summarize_report
 
 #: The three configurations compared: (row label, admission policy,
 #: arm-the-autotuner flag).
@@ -64,10 +65,8 @@ def _submissions(settings: ExperimentSettings) -> int:
 def _evaluate_cell(payload: dict, slo: SloTarget) -> dict:
     """The ``tune`` drill's summary of one payload, plus the study's keys
     (static rows carry no autotune log, so theirs read as empty)."""
-    from repro.facade import _service_summary
-
     return {
-        **_service_summary(payload, slo),
+        **summarize_report(payload, slo),
         "admission": payload["admission"],
         "applies": payload.get("applies", 0),
         "decisions": payload.get("decisions", []),

@@ -30,11 +30,8 @@ from repro.schedulers.registry import ALL_SCHEDULERS
 from repro.workload.scenarios import (
     ChaosScenario,
     MIXED_FAULTS,
-    SCENARIOS,
     Scenario,
     STRESS,
-    chaos_scenario,
-    scenario_sequence,
 )
 
 #: Fault-rate sweep of the degradation curves (0 = fault-free reference).
@@ -184,61 +181,3 @@ def format_result(result: FaultStudyResult) -> str:
         + format_table(headers, rows)
     )
     return "\n\n".join(blocks)
-
-
-# ---------------------------------------------------------------------------
-# `repro chaos` CLI entry point
-# ---------------------------------------------------------------------------
-def chaos_report(
-    scenario_name: str = "mixed",
-    fault_rate: float = 0.05,
-    seed: int = 1,
-    num_events: int = 20,
-    workload_name: str = "stress",
-    schedulers: Sequence[str] = ALL_SCHEDULERS,
-) -> str:
-    """One-shot chaos drill: every scheduler, one sequence, one fault rate.
-
-    Reports goodput, MTTR, work lost and degradation versus the
-    fault-free run of the same stimuli (so ``--fault-rate 0`` reads as
-    exactly 1.00 degradation with zero faults).
-    """
-    from repro.experiments import parallel
-
-    scenario = chaos_scenario(scenario_name)
-    workload = next(
-        (s for s in SCENARIOS if s.name == workload_name), None
-    )
-    if workload is None:
-        raise ExperimentError(
-            f"unknown workload scenario {workload_name!r}; known: "
-            f"{sorted(s.name for s in SCENARIOS)}"
-        )
-    sequence = scenario_sequence(workload, seed, num_events)
-    fault_config = scenario.fault_config(fault_rate, seed=seed)
-    headers = ["scheduler", "response deg.", "goodput (items/s)",
-               "MTTR (ms)", "work lost (ms)", "faults"]
-    rows: List[List[object]] = []
-    for scheduler in schedulers:
-        clean = parallel.ClosedCell(scheduler, sequence).run()
-        chaos = parallel.ClosedCell(
-            scheduler, sequence, reduce=parallel.chaos, faults=fault_config,
-        ).run()
-        mttr_values = chaos.recovery_times_ms
-        mttr = (
-            f"{sum(mttr_values) / len(mttr_values):.1f}"
-            if mttr_values else "n/a"
-        )
-        rows.append([
-            scheduler,
-            degradation_factor(clean, chaos.results),
-            chaos.goodput_items_per_s,
-            mttr,
-            chaos.work_lost_ms,
-            chaos.total_faults,
-        ])
-    title = (
-        f"Chaos drill: scenario={scenario.name} fault_rate={fault_rate:g} "
-        f"workload={workload.name} seed={seed} events={num_events}"
-    )
-    return title + "\n" + format_table(headers, rows)

@@ -35,12 +35,7 @@ from repro.experiments.runner import (
 from repro.hypervisor.results import AppResult
 from repro.metrics.slo import p99_response_ms
 from repro.workload.events import EventSequence
-from repro.workload.generator import EVENTS_PER_SEQUENCE
-from repro.workload.scenarios import (
-    Scenario,
-    SCENARIOS,
-    overload_sequence,
-)
+from repro.workload.scenarios import Scenario, overload_sequence
 
 #: Arrival-rate sweep: 1x is the uncongested reference each policy is
 #: normalized against; 4x is the acceptance-criterion stress point.
@@ -320,76 +315,3 @@ def format_result(result: OverloadStudyResult) -> str:
 def _ratio(value: float) -> object:
     """NaN-tolerant table cell."""
     return "n/a" if math.isnan(value) else value
-
-
-# ---------------------------------------------------------------------------
-# `repro overload` CLI entry point
-# ---------------------------------------------------------------------------
-def overload_report(
-    rate_multiplier: float = 4.0,
-    seed: int = 1,
-    num_events: Optional[int] = None,
-    workload_name: str = "overload",
-    scheduler: str = "fcfs",
-    policies: Sequence[str] = ADMISSION_POLICIES,
-) -> str:
-    """One-shot overload drill: every policy, one sequence, one rate.
-
-    Reports per-policy p99 (high-priority and overall), protection ratio
-    versus the same policy at 1x, and the admission/shedding cost side.
-    The default ``"overload"`` workload is the study's dedicated regime
-    (:data:`OVERLOAD_WORKLOAD`); the paper's congestion scenarios are
-    accepted by name too.
-    """
-    from repro.experiments import parallel
-
-    if workload_name == OVERLOAD_WORKLOAD.name:
-        workload = OVERLOAD_WORKLOAD
-    else:
-        workload = next(
-            (s for s in SCENARIOS if s.name == workload_name), None
-        )
-    if workload is None:
-        known = sorted(
-            [s.name for s in SCENARIOS] + [OVERLOAD_WORKLOAD.name]
-        )
-        raise ExperimentError(
-            f"unknown workload scenario {workload_name!r}; known: {known}"
-        )
-    if num_events is None:
-        num_events = EVENTS_PER_SEQUENCE * OVERLOAD_BURST_FACTOR
-    calm = study_sequence(workload, seed, num_events, 1.0)
-    hot = study_sequence(workload, seed, num_events, rate_multiplier)
-    headers = ["policy", "p99 hi (ms)", "protection", "admit", "drops",
-               "shed", "goodput (items/s)", "starvation", "wd kicks"]
-    rows: List[List[object]] = []
-    for policy in policies:
-        calm_results = parallel.ClosedCell(
-            scheduler, calm, admission=policy, seed=seed,
-        ).run()
-        report = parallel.ClosedCell(
-            scheduler, hot, reduce=parallel.overload, admission=policy,
-            seed=seed,
-        ).run()
-        results = list(report.results)
-        high = max(
-            (r.priority for r in calm_results + results), default=0
-        )
-        base = p99_response_ms(calm_results, high)
-        p99 = p99_response_ms(results, high)
-        ratio = (
-            float("nan")
-            if math.isnan(p99) or math.isnan(base) or base <= 0
-            else p99 / base
-        )
-        rows.append([
-            policy, _ratio(p99), _ratio(ratio), report.admission_ratio,
-            report.drops, report.shed, report.goodput_under_overload,
-            report.starvation_index, report.watchdog_kicks,
-        ])
-    title = (
-        f"Overload drill: rate={rate_multiplier:g}x "
-        f"workload={workload_name} scheduler={scheduler} seed={seed} "
-        f"events={num_events}"
-    )
-    return title + "\n" + format_table(headers, rows)

@@ -26,8 +26,7 @@ from repro.errors import ExperimentError
 from repro.experiments.parallel import ServiceCell, run_cells
 from repro.experiments.runner import ExperimentSettings, RunCache
 from repro.metrics.slo import DEFAULT_SERVICE_SLO, SloTarget
-from repro.service.loop import format_report
-from repro.service.windows import WindowedMetrics
+from repro.service import format_report, summarize_report
 
 #: The nine schedulers of the capacity curve: the paper's five, the two
 #: pipelining/preemption ablations, and the two extension policies.
@@ -61,22 +60,13 @@ def _submissions(settings: ExperimentSettings) -> int:
 
 
 def _evaluate_cell(payload: dict, slo: SloTarget) -> dict:
-    """Reduce one service report payload to the study's scalars."""
-    total = WindowedMetrics.from_dict(payload["windows"]).total()
-    p99 = total.sketch.percentile(99.0)
-    arrived = payload["arrived"]
-    lost = payload["shed"] + payload["dropped"]
-    loss_frac = (lost / arrived) if arrived else 0.0
+    """The service summary of one payload, plus the study's keys."""
+    summary = summarize_report(payload, slo)
     return {
+        **summary,
         "scheduler": payload["scheduler"],
         "admission": payload["admission"],
-        "arrived": arrived,
-        "completed": payload["completed"],
-        "shed": payload["shed"],
-        "dropped": payload["dropped"],
-        "p99_ms": p99,
-        "loss_frac": loss_frac,
-        "ok": slo.met(p99, loss_frac),
+        "ok": slo.met(summary["p99_ms"], summary["loss_frac"]),
     }
 
 

@@ -9,8 +9,8 @@ declared, uniform contract:
   ``run(settings=None, cache=None, *, <study knobs>) -> <module result>``
   and ``format_result(result) -> str``;
 * the :class:`~repro.experiments.runner.RunCache` is the one carrier of
-  run settings: its ``config``, ``jobs`` (fan-out width) and ``mode``
-  (run mode) reach every study through ``cache``, never as arguments;
+  run settings: its ``jobs`` (fan-out width) and ``mode`` (run mode)
+  reach every study through ``cache``, never as arguments;
 * the registry wraps each module in an :class:`Experiment` whose
   ``run(settings=None, cache=None)`` returns an
   :class:`ExperimentResult` (name + raw value + rendered text);

@@ -156,29 +156,6 @@ def serve(
     return loop.run()
 
 
-def _service_summary(payload: dict, slo) -> dict:
-    """One service-report payload reduced to its SLO scalars."""
-    from repro.service.windows import WindowedMetrics
-
-    windows = WindowedMetrics.from_dict(payload["windows"])
-    arrived = payload["arrived"]
-    lost = payload["shed"] + payload["dropped"]
-    summary = {
-        "attainment": windows.slo_attainment(slo),
-        "p99_ms": windows.total().sketch.percentile(99.0),
-        "loss_frac": (lost / arrived) if arrived else 0.0,
-        "arrived": arrived,
-        "completed": payload["completed"],
-        "shed": payload["shed"],
-        "dropped": payload["dropped"],
-        "windows": sum(w.arrived > 0 for w in windows.windows),
-    }
-    if "applies" in payload:
-        summary["applies"] = payload["applies"]
-        summary["decisions"] = payload["decisions"]
-    return summary
-
-
 def _post_apply_summary(payload: dict, slo, apply_window: int) -> dict:
     """SLO attainment over the windows after a remediation apply.
 
@@ -236,6 +213,7 @@ def tune(
 
     from repro.autotune import AutotuneConfig
     from repro.experiments.parallel import ServiceCell, run_cells
+    from repro.service import summarize_report
 
     if autotune is None:
         autotune = AutotuneConfig()
@@ -271,8 +249,8 @@ def tune(
             "recover_s": recover_s,
         },
         "slo": {"p99_ms": slo.p99_ms, "max_loss_frac": slo.max_loss_frac},
-        "baseline": _service_summary(baseline_payload, slo),
-        "tuned": _service_summary(tuned_payload, slo),
+        "baseline": summarize_report(baseline_payload, slo),
+        "tuned": summarize_report(tuned_payload, slo),
     }
     applied = [
         d["window"] for d in payload["tuned"].get("decisions", ())

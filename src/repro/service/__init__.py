@@ -24,6 +24,7 @@ from repro.service.loop import (
     ServiceLoop,
     ServiceReport,
     format_report,
+    summarize_report,
 )
 from repro.service.sketch import (
     DEFAULT_ALPHA,
@@ -61,5 +62,6 @@ __all__ = [
     "merge_sketches",
     "merge_windowed",
     "save_snapshot",
+    "summarize_report",
     "validate_snapshot",
 ]

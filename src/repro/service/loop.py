@@ -226,6 +226,28 @@ def format_report(payload: dict, window_rows: int = 12) -> str:
     return "\n".join(lines)
 
 
+def summarize_report(payload: dict, slo) -> dict:
+    """A :meth:`ServiceReport.to_dict` payload reduced to its SLO scalars
+    against ``slo`` (a :class:`~repro.metrics.slo.SloTarget`)."""
+    windows = WindowedMetrics.from_dict(payload["windows"])
+    arrived = payload["arrived"]
+    lost = payload["shed"] + payload["dropped"]
+    summary = {
+        "attainment": windows.slo_attainment(slo),
+        "p99_ms": windows.total().sketch.percentile(99.0),
+        "loss_frac": (lost / arrived) if arrived else 0.0,
+        "arrived": arrived,
+        "completed": payload["completed"],
+        "shed": payload["shed"],
+        "dropped": payload["dropped"],
+        "windows": sum(w.arrived > 0 for w in windows.windows),
+    }
+    if "applies" in payload:
+        summary["applies"] = payload["applies"]
+        summary["decisions"] = payload["decisions"]
+    return summary
+
+
 def _ms(value: float) -> str:
     if value != value:  # NaN — nothing completed
         return "-"

@@ -517,10 +517,10 @@ class TestCliExitCodes:
         from repro import cli
         from repro.experiments import ext_overload as mod
 
-        def boom(**kwargs):
+        def boom(*args, **kwargs):
             raise AdmissionError("queue_capacity must be >= 1, got 0")
 
-        monkeypatch.setattr(mod, "overload_report", boom)
+        monkeypatch.setattr(mod, "run", boom)
         assert cli.main(["overload"]) == cli.EXIT_USAGE
         assert "queue_capacity" in capsys.readouterr().err
 
@@ -528,9 +528,9 @@ class TestCliExitCodes:
         from repro import cli
         from repro.experiments import ext_overload as mod
 
-        def boom(**kwargs):
+        def boom(*args, **kwargs):
             raise InvariantViolation("slot-mutual-exclusion", "boom")
 
-        monkeypatch.setattr(mod, "overload_report", boom)
+        monkeypatch.setattr(mod, "run", boom)
         assert cli.main(["overload"]) == cli.EXIT_USAGE
         assert "slot-mutual-exclusion" in capsys.readouterr().err

@@ -92,9 +92,12 @@ class TestVersionAndExitCodes:
         assert exit_info.value.code == 2
 
     def test_experiment_error_exits_one(self, capsys):
-        # A negative fault rate is rejected inside the experiment layer.
+        # A negative fault rate is rejected inside the experiment layer,
+        # before the drill prints anything.
         assert main(["chaos", "--fault-rate", "-1", "--events", "4"]) == 1
-        assert "chaos:" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "chaos:" in captured.err
 
 
 class TestOptionalDependencies:
@@ -173,3 +176,68 @@ class TestObserveActions:
         fault_spans = [e for e in payload["traceEvents"]
                        if e["ph"] == "X" and e.get("cat") == "fault"]
         assert fault_spans
+
+
+class TestSettings:
+    def test_base_seed_survives_scale_flags(self, capsys, monkeypatch):
+        """``REPRO_BASE_SEED`` moves the stimuli whether the scale comes
+        from flags or from the environment."""
+
+        def fig8(env, flags):
+            for name in ("REPRO_BASE_SEED", "REPRO_SEQUENCES",
+                         "REPRO_EVENTS"):
+                monkeypatch.delenv(name, raising=False)
+            for name, value in env.items():
+                monkeypatch.setenv(name, value)
+            assert main(["fig8"] + flags) == 0
+            return capsys.readouterr().out
+
+        flags = ["--sequences", "1", "--events", "6"]
+        seeded = fig8({"REPRO_BASE_SEED": "7"}, flags)
+        assert seeded != fig8({}, flags)
+        assert seeded == fig8(
+            {"REPRO_BASE_SEED": "7", "REPRO_SEQUENCES": "1",
+             "REPRO_EVENTS": "6"},
+            [],
+        )
+
+
+class TestDrills:
+    """``chaos`` and ``overload`` run the ext-faults and ext-overload
+    studies on the one ``--seed`` stimulus."""
+
+    def test_chaos_drill_lists_every_scheduler(self, capsys):
+        assert main(["chaos", "--scenario", "transient", "--fault-rate",
+                     "0.1", "--seed", "1", "--events", "3"]) == 0
+        out = capsys.readouterr().out
+        for scheduler in ("baseline", "fcfs", "prema", "rr", "nimblock"):
+            assert scheduler in out
+        assert "scenario=transient" in out
+        assert "goodput" in out
+
+    def test_chaos_drill_rejects_unknown_workload(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["chaos", "--workload", "bogus", "--events", "2"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    def test_chaos_drill_accepts_the_overload_workload(self, capsys):
+        assert main(["chaos", "--workload", "overload", "--events", "4"]) == 0
+        assert "workload=overload" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["chaos", "--scenario", "transient", "--events", "4"],
+        ["overload", "--events", "12"],
+    ])
+    def test_drills_identical_across_jobs(self, capsys, argv):
+        assert main(argv + ["--jobs", "1"]) == 0
+        serial = capsys.readouterr().out
+        assert main(argv + ["--jobs", "2"]) == 0
+        assert capsys.readouterr().out == serial
+
+    def test_overload_drill_scales_with_repro_events(self, capsys,
+                                                     monkeypatch):
+        monkeypatch.setenv("REPRO_EVENTS", "2")
+        assert main(["overload"]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header.endswith(" events=16")

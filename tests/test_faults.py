@@ -27,7 +27,6 @@ from repro.errors import (
     WorkloadError,
 )
 from repro.experiments import ext_faults
-from repro.experiments.ext_faults import chaos_report
 from repro.experiments.runner import ExperimentSettings, run_closed
 from repro.faults import (
     FaultConfig,
@@ -543,24 +542,6 @@ class TestTraceKindRoundTrip:
         assert TraceKind.SLOT_FAULT in kinds
         rebuilt = load_trace(save_trace(trace, tmp_path / "chaos.json"))
         assert rebuilt.events == trace.events
-
-
-# ---------------------------------------------------------------------------
-# The `repro chaos` report
-# ---------------------------------------------------------------------------
-class TestChaosReport:
-    def test_report_lists_requested_schedulers(self):
-        text = chaos_report(
-            scenario_name="transient", fault_rate=0.1, seed=1,
-            num_events=3, schedulers=("nimblock",),
-        )
-        assert "nimblock" in text
-        assert "scenario=transient" in text
-        assert "goodput" in text
-
-    def test_unknown_workload_rejected(self):
-        with pytest.raises(ExperimentError, match="unknown workload"):
-            chaos_report(workload_name="bogus", num_events=2)
 
 
 class TestFaultStudy:
