@@ -67,9 +67,8 @@ _LAZY_EXPORTS = {
     "simulate": "repro.facade",
     "serve": "repro.facade",
     "fleet": "repro.facade",
-    "cluster_report": "repro.facade",
     "tune": "repro.facade",
-    "tune_report": "repro.facade",
+    "format_tune": "repro.facade",
     "AutotuneConfig": "repro.autotune",
     "Autotuner": "repro.autotune",
     "ConfigPatch": "repro.autotune",
@@ -175,9 +174,8 @@ __all__ = [
     "simulate",
     "serve",
     "fleet",
-    "cluster_report",
     "tune",
-    "tune_report",
+    "format_tune",
     "AutotuneConfig",
     "Autotuner",
     "ConfigPatch",

@@ -353,7 +353,8 @@ def _run_serve(args: argparse.Namespace, settings: ExperimentSettings) -> int:
     """
     import time
 
-    from repro.experiments import ext_service
+    from repro.experiments.parallel import ServiceCell, run_cells
+    from repro.service import format_report
 
     fast = args.fast
     rate = args.rate if args.rate is not None else (4.0 if fast else 2.0)
@@ -363,24 +364,30 @@ def _run_serve(args: argparse.Namespace, settings: ExperimentSettings) -> int:
     window_s = args.window_s if args.window_s is not None else (
         20.0 if fast else 60.0
     )
-    schedulers = (
-        args.schedulers or ("nimblock,prema" if fast else "nimblock")
-    ).split(",")
+    names = args.schedulers if args.schedulers is not None else (
+        "nimblock,prema" if fast else "nimblock"
+    )
+    schedulers = [name for name in map(str.strip, names.split(",")) if name]
+    if not schedulers:
+        raise ReproError(
+            f"--schedulers must name at least one scheduler, got {names!r}"
+        )
     started = time.perf_counter()
-    print(ext_service.serve_report(
-        rate=rate,
-        burstiness=args.burstiness,
-        submissions=submissions,
-        window_ms=window_s * 1000.0,
-        schedulers=[name.strip() for name in schedulers if name.strip()],
-        admission=args.admission or "shed",
-        seed=args.seed,
+    payloads = run_cells(
+        [
+            ServiceCell(
+                scheduler, args.admission or "shed", args.seed, submissions,
+                window_s * 1000.0, rate=rate, burstiness=args.burstiness,
+                replay=not args.no_replay,
+            )
+            for scheduler in schedulers
+        ],
         jobs=args.jobs,
-        replay=not args.no_replay,
-    ))
+    )
+    print("\n\n".join(format_report(payload) for payload in payloads))
     wall_s = time.perf_counter() - started
     print(
-        f"serve: {len(schedulers)} run(s) x {submissions} submissions "
+        f"serve: {len(payloads)} run(s) x {submissions} submissions "
         f"in {wall_s:.1f}s wall",
         file=sys.stderr,
     )
@@ -396,15 +403,17 @@ def _run_cluster(
     (the ``determinism`` CI job's ``fleet`` entry diffs ``--jobs 1``
     against ``--jobs 4``); wall-clock notes go to stderr.
     """
-    from repro.facade import cluster_report as run_fleet
+    import json
+
+    from repro.facade import fleet
 
     mix = None
-    if args.mix:
+    if args.mix is not None:
         mix = tuple(
             name.strip() for name in args.mix.split(",") if name.strip()
         )
-    print(run_fleet(
-        num_boards=args.boards,
+    report = fleet(
+        args.boards,
         placement=args.placement,
         scheduler=args.scheduler or "nimblock",
         admission=args.admission,
@@ -415,10 +424,13 @@ def _run_cluster(
         fault_rate=args.fault_rate or 0.0,
         fault_scenario=args.scenario,
         jobs=args.jobs,
-        as_json=args.json,
         mode=args.mode,
         replay=not args.no_replay,
-    ), end="")
+    )
+    print(
+        json.dumps(report.to_dict(), sort_keys=True)
+        if args.json else report.format()
+    )
     return EXIT_OK
 
 
@@ -429,9 +441,10 @@ def _run_tune(args: argparse.Namespace, settings: ExperimentSettings) -> int:
     (the ``determinism`` CI job's ``tune`` entry diffs ``--jobs 1``
     against ``--jobs 2``); wall-clock notes go to stderr.
     """
+    import json
     import time
 
-    from repro.facade import tune_report
+    from repro.facade import format_tune, tune
 
     fast = args.fast
     rate = args.rate if args.rate is not None else (2.0 if fast else 1.0)
@@ -440,7 +453,7 @@ def _run_tune(args: argparse.Namespace, settings: ExperimentSettings) -> int:
     )
     window_s = args.window_s if args.window_s is not None else 10.0
     started = time.perf_counter()
-    print(tune_report(
+    payload = tune(
         args.scheduler or "nimblock",
         admission=args.admission or "unbounded",
         rate=rate,
@@ -449,8 +462,11 @@ def _run_tune(args: argparse.Namespace, settings: ExperimentSettings) -> int:
         submissions=submissions,
         window_ms=window_s * 1000.0,
         jobs=args.jobs,
-        as_json=args.json,
-    ), end="")
+    )
+    print(
+        json.dumps(payload, sort_keys=True)
+        if args.json else format_tune(payload)
+    )
     print(
         f"tune: 2 runs x {submissions} submissions in "
         f"{time.perf_counter() - started:.1f}s wall",

@@ -677,3 +677,40 @@ class ClusterReport:
         """sha256 over the canonical JSON dump of the merged snapshot."""
         blob = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+    def format(self) -> str:
+        """The ``repro cluster`` drill's text: one row per board, then
+        the fleet summary and the snapshot digest."""
+        from repro.experiments.runner import format_table
+
+        headers = ["board", "profile", "slots", "apps", "retired", "shed",
+                   "items", "busy (s)", "energy (J)", "faults"]
+        rows = [
+            [
+                payload["board"],
+                payload["profile"]["name"],
+                payload["profile"]["num_slots"],
+                payload["submitted"],
+                payload["retired"],
+                payload["shed"],
+                payload["items_done"],
+                payload["run_busy_ms"] / 1000.0,
+                payload["energy_j"],
+                payload["faults"]["total"],
+            ]
+            for payload in self.boards
+        ]
+        return (
+            f"Cluster drill: {len(self.boards)} board(s), "
+            f"placement={self.placement}, scheduler={self.scheduler}, "
+            f"admission={self.admission or 'none'}, seed={self.seed}\n"
+            f"{format_table(headers, rows)}\n"
+            f"fleet: retired={self.retired} shed={self.shed} "
+            f"items={self.items_done} "
+            f"throughput={self.throughput_items_per_s:.3f} items/s "
+            f"p50={self.quantile_ms(0.5):.1f} ms "
+            f"p99={self.quantile_ms(0.99):.1f} ms "
+            f"makespan={self.makespan_ms:.1f} ms "
+            f"energy={self.energy_j:.1f} J\n"
+            f"snapshot sha256: {self.snapshot_digest()}"
+        )

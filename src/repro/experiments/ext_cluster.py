@@ -22,23 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster import (
-    PLACEMENT_POLICIES,
-    Cluster,
-    DEFAULT_FLEET_MIX,
-    fleet_profiles,
-)
+from repro.cluster import DEFAULT_FLEET_MIX, PLACEMENT_POLICIES
 from repro.errors import ExperimentError
-from repro.experiments.ext_overload import (
-    OVERLOAD_BURST_FACTOR,
-    OVERLOAD_WORKLOAD,
-    study_sequence,
-)
+from repro.experiments.ext_overload import OVERLOAD_WORKLOAD, study_sequence
 from repro.experiments.runner import (
     ExperimentSettings,
     RunCache,
     format_table,
 )
+from repro.facade import fleet
 
 #: Fleet sizes swept: 1 -> 64 boards, doubling.
 FLEET_SIZES: Tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64)
@@ -122,15 +114,16 @@ def run(
             rate * num_boards,
         )
         for placement in placements:
-            fleet = Cluster(
-                fleet_profiles(num_boards, mix),
+            # Full mode whatever cache.mode says: digests hash board rows.
+            report = fleet(
+                num_boards,
                 placement=placement,
                 scheduler=scheduler,
+                mix=tuple(mix),
                 seed=settings.base_seed,
+                sequence=sequence,
+                jobs=cache.jobs,
             )
-            fleet.submit_sequence(sequence)
-            # Full mode whatever cache.mode says: digests hash board rows.
-            report = fleet.run(jobs=cache.jobs)
             key = (num_boards, placement)
             throughput[key] = report.throughput_items_per_s
             p99[key] = report.quantile_ms(0.99)

@@ -114,8 +114,7 @@ def run(
             lost = 0.0
             faults = 0
             for index in range(len(sequences)):
-                cell = next(cells)
-                results = list(cell.results)
+                results, report = next(cells)
                 if len(reference) <= index:
                     # The first rate is 0.0: this scheduler's
                     # fault-free reference for the curves.
@@ -123,10 +122,10 @@ def run(
                 ratios.append(
                     degradation_factor(reference[index], results)
                 )
-                goodputs.append(cell.goodput_items_per_s)
-                recoveries.extend(cell.recovery_times_ms)
-                lost += cell.work_lost_ms
-                faults += cell.total_faults
+                goodputs.append(report.goodput_items_per_s)
+                recoveries.extend(report.recovery_times_ms)
+                lost += report.work_lost_ms
+                faults += report.slot_faults + report.config_failures
             key = (scheduler, rate)
             degradation[key] = sum(ratios) / len(ratios)
             goodput[key] = sum(goodputs) / len(goodputs)

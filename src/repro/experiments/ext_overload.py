@@ -198,15 +198,15 @@ def run(
             drops[key] = shed[key] = kicks[key] = 0
             overload[key] = 0.0
             for _ in range(len(seeds)):
-                cell = next(cells)
-                pooled.extend(cell.results)
-                ratios.append(cell.admission_ratio)
-                goodputs.append(cell.goodput_under_overload)
-                starvations.append(cell.starvation_index)
-                drops[key] += cell.drops
-                shed[key] += cell.shed
-                kicks[key] += cell.watchdog_kicks
-                overload[key] += cell.overload_ms
+                results, report = next(cells)
+                pooled.extend(results)
+                ratios.append(report.admission_ratio)
+                goodputs.append(report.goodput_under_overload)
+                starvations.append(report.starvation_index)
+                drops[key] += report.drops
+                shed[key] += report.shed
+                kicks[key] += report.watchdog_kicks
+                overload[key] += report.overload_ms
             if pooled:
                 high_priority = max(
                     high_priority,

@@ -26,7 +26,7 @@ from repro.errors import ExperimentError
 from repro.experiments.parallel import ServiceCell, run_cells
 from repro.experiments.runner import ExperimentSettings, RunCache
 from repro.metrics.slo import DEFAULT_SERVICE_SLO, SloTarget
-from repro.service import format_report, summarize_report
+from repro.service import summarize_report
 
 #: The nine schedulers of the capacity curve: the paper's five, the two
 #: pipelining/preemption ablations, and the two extension policies.
@@ -181,36 +181,3 @@ def format_result(result: dict) -> str:
                 f"  {scheduler:<20} {policy:<10} " + " ".join(marks)
             )
     return "\n".join(lines)
-
-
-def serve_report(
-    *,
-    rate: float = 2.0,
-    burstiness: float = 0.0,
-    submissions: int = 20_000,
-    window_ms: float = 60_000.0,
-    schedulers: Sequence[str] = ("nimblock",),
-    admission: str = "shed",
-    seed: int = 1,
-    jobs: Optional[int] = None,
-    replay: bool = True,
-) -> str:
-    """The one-shot ``nimblock-repro serve`` drill.
-
-    Runs one open-loop service per requested scheduler (fanned out over
-    ``jobs`` workers) and renders the deterministic report payloads —
-    the text is byte-identical at any ``jobs`` count, which the
-    ``determinism`` CI job's ``serve`` entry diffs.
-    """
-    payloads = run_cells(
-        [
-            ServiceCell(
-                scheduler, admission, seed, submissions, window_ms,
-                rate=rate, burstiness=burstiness, replay=replay,
-            )
-            for scheduler in schedulers
-        ],
-        jobs=jobs,
-    )
-    blocks = [format_report(payload) for payload in payloads]
-    return "\n\n".join(blocks)

@@ -6,8 +6,10 @@ fan-out. A *cell* is one such run, frozen and picklable, whose
 ``run()`` returns what crosses the process boundary (traces never do):
 
 * :class:`ClosedCell` — one :func:`~repro.experiments.runner.run_closed`
-  board run plus a named reducer: :func:`results`, :func:`chaos`,
-  :func:`overload` or :func:`snapshot`;
+  board run plus a named reducer: :func:`results`, :func:`chaos` (the
+  results and a :class:`~repro.metrics.reliability.ReliabilityReport`),
+  :func:`overload` (the results and a
+  :class:`~repro.metrics.slo.SloReport`) or :func:`snapshot`;
 * :class:`ServiceCell` — one open-loop service run, reduced to its
   report payload;
 * :func:`run_cells` — fan any mix of cells out, outcomes in cell order;
@@ -40,6 +42,8 @@ from repro.workload.events import EventSequence
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.autotune.engine import AutotuneConfig
     from repro.hypervisor.hypervisor import Hypervisor
+    from repro.metrics.reliability import ReliabilityReport
+    from repro.metrics.slo import SloReport
     from repro.observe.instrument import Instrumentation
 
 _Task = TypeVar("_Task")
@@ -60,33 +64,13 @@ def results(hypervisor: "Hypervisor") -> List[AppResult]:
     return hypervisor.results()
 
 
-@dataclass(frozen=True)
-class ChaosCell:
-    """One chaos run reduced to what the fault studies aggregate."""
+def chaos(
+    hypervisor: "Hypervisor",
+) -> Tuple[List[AppResult], "ReliabilityReport"]:
+    """A fault-injected run: its results and reliability report."""
+    from repro.metrics.reliability import reliability_report
 
-    results: Tuple[AppResult, ...]
-    goodput_items_per_s: float
-    recovery_times_ms: Tuple[float, ...]
-    work_lost_ms: float
-    total_faults: int
-
-
-def chaos(hypervisor: "Hypervisor") -> ChaosCell:
-    """A fault-injected run plus its trace-derived reliability scalars."""
-    from repro.metrics.reliability import (
-        goodput_items_per_s,
-        recovery_times_ms,
-        work_lost_ms,
-    )
-
-    trace = hypervisor.trace
-    return ChaosCell(
-        results=tuple(hypervisor.results()),
-        goodput_items_per_s=goodput_items_per_s(trace),
-        recovery_times_ms=tuple(recovery_times_ms(trace)),
-        work_lost_ms=work_lost_ms(trace),
-        total_faults=hypervisor.fault_stats.total_faults,
-    )
+    return hypervisor.results(), reliability_report(hypervisor.trace)
 
 
 def _chunksize(num_tasks: int, workers: int) -> int:
@@ -119,45 +103,14 @@ def fanout(
         )
 
 
-@dataclass(frozen=True)
-class OverloadCell:
-    """One admission-controlled run reduced to its SLO scalars.
-
-    Retired-app results cross the process boundary (they are small frozen
-    records); the trace itself never does — every trace-derived quantity
-    is reduced to a scalar inside the worker.
-    """
-
-    results: Tuple[AppResult, ...]
-    admission_ratio: float
-    drops: int
-    shed: int
-    overload_windows: int
-    overload_ms: float
-    goodput_under_overload: float
-    starvation_index: float
-    watchdog_stalls: int
-    watchdog_kicks: int
-
-
-def overload(hypervisor: "Hypervisor") -> OverloadCell:
-    """An overload run plus its trace-derived SLO scalars."""
+def overload(
+    hypervisor: "Hypervisor",
+) -> Tuple[List[AppResult], "SloReport"]:
+    """An admission-controlled run: its results and SLO report."""
     from repro.metrics.slo import slo_report
 
     run_results = hypervisor.results()
-    report = slo_report(hypervisor.trace, run_results)
-    return OverloadCell(
-        results=tuple(run_results),
-        admission_ratio=report.admission_ratio,
-        drops=report.drops,
-        shed=report.shed,
-        overload_windows=report.overload_windows,
-        overload_ms=report.overload_ms,
-        goodput_under_overload=report.goodput_under_overload,
-        starvation_index=report.starvation_index,
-        watchdog_stalls=report.watchdog_stalls,
-        watchdog_kicks=report.watchdog_kicks,
-    )
+    return run_results, slo_report(hypervisor.trace, run_results)
 
 
 def snapshot(hypervisor: "Hypervisor") -> dict:

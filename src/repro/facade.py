@@ -270,40 +270,12 @@ def tune(
     return payload
 
 
-def tune_report(
-    scheduler: str = "nimblock",
-    *,
-    admission: str = "unbounded",
-    rate: float = 2.0,
-    burst_multiplier: float = 4.0,
-    seed: int = 1,
-    submissions: int = 600,
-    window_ms: float = 10_000.0,
-    jobs: Optional[int] = None,
-    as_json: bool = False,
-) -> str:
-    """The ``repro tune`` drill as deterministic text (or JSON).
-
-    With ``as_json`` the payload is dumped as canonical JSON (sorted
-    keys, one trailing newline) — the byte stream the ``determinism``
-    CI job's ``tune`` entry diffs across ``--jobs`` values.
-    """
-    import json
-
+def format_tune(payload: dict) -> str:
+    """A :func:`tune` payload as the ``repro tune`` drill's text: the
+    baseline-vs-tuned table, the tuned run's decision log and the
+    payload digest."""
     from repro.experiments.runner import format_table
 
-    payload = tune(
-        scheduler,
-        admission=admission,
-        rate=rate,
-        burst_multiplier=burst_multiplier,
-        seed=seed,
-        submissions=submissions,
-        window_ms=window_ms,
-        jobs=jobs,
-    )
-    if as_json:
-        return json.dumps(payload, sort_keys=True) + "\n"
     headers = ["run", "attainment", "p99 (ms)", "loss", "completed",
                "shed", "dropped", "applies"]
     rows: List[List[object]] = []
@@ -320,8 +292,9 @@ def tune_report(
             summary.get("applies", 0),
         ])
     title = (
-        f"Closed-loop remediation drill: scheduler={scheduler}, "
-        f"admission={admission}, {payload['arrivals']}, seed={seed}"
+        f"Closed-loop remediation drill: scheduler={payload['scheduler']}, "
+        f"admission={payload['admission']}, {payload['arrivals']}, "
+        f"seed={payload['seed']}"
     )
     lines = [title, format_table(headers, rows)]
     for decision in payload["tuned"].get("decisions", ()):
@@ -346,7 +319,7 @@ def tune_report(
             f"{post['tuned']['met']}/{post['tuned']['windows']}"
         )
     lines.append(f"payload sha256: {payload['digest']}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines)
 
 
 def fleet(
@@ -393,6 +366,9 @@ def fleet(
     from repro.experiments.runner import ExperimentSettings
     from repro.workload.scenarios import chaos_scenario
 
+    profiles = fleet_profiles(
+        num_boards, DEFAULT_FLEET_MIX if mix is None else mix
+    )
     faults = None
     if fault_rate > 0.0:
         faults = chaos_scenario(fault_scenario).fault_config(
@@ -407,7 +383,7 @@ def fleet(
             OVERLOAD_WORKLOAD, seed, num_events, rate_multiplier
         )
     fleet = Cluster(
-        fleet_profiles(num_boards, mix or DEFAULT_FLEET_MIX),
+        profiles,
         placement=placement,
         scheduler=scheduler,
         config=config,
@@ -417,84 +393,3 @@ def fleet(
     )
     fleet.submit_sequence(sequence)
     return fleet.run(jobs=jobs, mode=mode, replay=replay, autotune=autotune)
-
-
-def cluster_report(
-    num_boards: int = 4,
-    *,
-    placement: str = "least_loaded",
-    scheduler: str = "nimblock",
-    admission: Optional[str] = None,
-    mix: Optional[Tuple[str, ...]] = None,
-    seed: int = 1,
-    num_events: Optional[int] = None,
-    rate_multiplier: float = 4.0,
-    fault_rate: float = 0.0,
-    fault_scenario: str = "mixed",
-    jobs: Optional[int] = None,
-    as_json: bool = False,
-    mode: str = "full",
-    replay: bool = True,
-) -> str:
-    """The ``repro cluster`` drill as deterministic text.
-
-    With ``as_json`` the merged snapshot is dumped as canonical JSON
-    (sorted keys, one trailing newline) — the byte stream the
-    ``determinism`` CI job's ``fleet`` entry diffs across ``--jobs``
-    values.
-    """
-    import json
-
-    from repro.experiments.runner import format_table
-
-    report = fleet(
-        num_boards,
-        placement=placement,
-        scheduler=scheduler,
-        admission=admission,
-        mix=mix,
-        seed=seed,
-        num_events=num_events,
-        rate_multiplier=rate_multiplier,
-        fault_rate=fault_rate,
-        fault_scenario=fault_scenario,
-        jobs=jobs,
-        mode=mode,
-        replay=replay,
-    )
-    if as_json:
-        return json.dumps(report.to_dict(), sort_keys=True) + "\n"
-    headers = ["board", "profile", "slots", "apps", "retired", "shed",
-               "items", "busy (s)", "energy (J)", "faults"]
-    rows: List[List[object]] = []
-    for payload in report.boards:
-        rows.append([
-            payload["board"],
-            payload["profile"]["name"],
-            payload["profile"]["num_slots"],
-            payload["submitted"],
-            payload["retired"],
-            payload["shed"],
-            payload["items_done"],
-            payload["run_busy_ms"] / 1000.0,
-            payload["energy_j"],
-            payload["faults"]["total"],
-        ])
-    title = (
-        f"Cluster drill: {num_boards} board(s), placement={placement}, "
-        f"scheduler={scheduler}, admission={admission or 'none'}, "
-        f"seed={seed}"
-    )
-    summary = (
-        f"fleet: retired={report.retired} shed={report.shed} "
-        f"items={report.items_done} "
-        f"throughput={report.throughput_items_per_s:.3f} items/s "
-        f"p50={report.quantile_ms(0.5):.1f} ms "
-        f"p99={report.quantile_ms(0.99):.1f} ms "
-        f"makespan={report.makespan_ms:.1f} ms "
-        f"energy={report.energy_j:.1f} J\n"
-        f"snapshot sha256: {report.snapshot_digest()}"
-    )
-    return (
-        f"{title}\n{format_table(headers, rows)}\n{summary}\n"
-    )

@@ -54,7 +54,6 @@ from repro.overlay.device import FPGADevice, Slot, SlotHealth, SlotPhase
 from repro.overlay.interconnect import InterconnectModel, ZeroCost
 from repro.overlay.memory import BufferManager
 from repro.schedulers.base import (
-    Action,
     ConfigureAction,
     PreemptAction,
     SchedulerPolicy,
@@ -255,12 +254,6 @@ class Hypervisor:
         self._guard_limit = 4 * self.config.num_slots + 4
         self._port = self.device.port
         self._slots = self.device.slots
-        # Arrival-latency-estimate memo. Service workloads draw requests
-        # from a tiny benchmark pool, so the same (graph, batch) pair
-        # recurs thousands of times; the estimate is a pure function of
-        # both when no estimation error is configured. Keyed by object
-        # identity with a strong graph reference so ids cannot be reused.
-        self._estimate_cache: Dict[tuple, tuple] = {}
         #: Macro-event replay cache (repro.sim.replay). None — the
         #: default — keeps the arrival path byte-identical to the
         #: pre-replay simulator. Bound last: the cache mirrors every
@@ -334,25 +327,10 @@ class Hypervisor:
         """
         self._register_bitstreams(request)
         error = self.config.hls_estimation_error
-        graph = request.graph
-        if error == 0:
-            # Pure function of (graph, batch) when estimates are exact;
-            # the memo holds the graph strongly so the id stays valid.
-            key = (id(graph), request.batch_size)
-            hit = self._estimate_cache.get(key)
-            if hit is not None and hit[0] is graph:
-                estimate = hit[1]
-            else:
-                estimate = application_latency_estimate_ms(
-                    graph, request.batch_size, self.config.reconfig_ms,
-                    estimation_error=0.0,
-                )
-                self._estimate_cache[key] = (graph, estimate)
-        else:
-            estimate = application_latency_estimate_ms(
-                graph, request.batch_size, self.config.reconfig_ms,
-                estimation_error=error,
-            )
+        estimate = application_latency_estimate_ms(
+            request.graph, request.batch_size, self.config.reconfig_ms,
+            estimation_error=error,
+        )
         task_estimates = None
         if error > 0:
             task_estimates = {
@@ -416,9 +394,8 @@ class Hypervisor:
         decide = self.scheduler.decide
         ctx = self._ctx
         configured = False
-        # ``port._active is None`` inlines ``port.is_busy`` and the exact
-        # ``type`` checks inline the common ``_apply`` dispatch; action
-        # subclasses still reach ``_apply`` through the fallback.
+        # ``port._active is None`` inlines ``port.is_busy``; actions
+        # dispatch on their exact ``type``.
         while port._active is None:
             guard += 1
             if guard > guard_limit:
@@ -433,13 +410,9 @@ class Hypervisor:
                 self._apply_configure(action, now)
                 configured = True
                 break
-            if action_type is PreemptAction:
-                self._apply_preempt(action, now)
-            else:
-                self._apply(action, now)
-                if isinstance(action, ConfigureAction):
-                    configured = True
-                    break
+            if action_type is not PreemptAction:
+                raise SchedulerError(f"unknown action {action!r}")
+            self._apply_preempt(action, now)
         self._launch_ready_items(now)
         # The stall breaker only ever acts under fault injection; gate
         # on that here so fault-free passes skip the call entirely.
@@ -497,14 +470,6 @@ class Hypervisor:
                 detail=float(task.items_done),
             )
         return detached
-
-    def _apply(self, action: Action, now: float) -> None:
-        if isinstance(action, ConfigureAction):
-            self._apply_configure(action, now)
-        elif isinstance(action, PreemptAction):
-            self._apply_preempt(action, now)
-        else:  # pragma: no cover - type guard
-            raise SchedulerError(f"unknown action {action!r}")
 
     def _apply_configure(self, action: ConfigureAction, now: float) -> None:
         app = self.apps.get(action.app_id)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from repro.errors import ExperimentError
 from repro.hypervisor.results import AppResult
@@ -73,10 +73,7 @@ def recovery_times_ms(trace: Trace) -> List[float]:
 
 def mean_time_to_recovery_ms(trace: Trace) -> float:
     """Mean recovery interval; NaN when nothing needed recovering."""
-    times = recovery_times_ms(trace)
-    if not times:
-        return float("nan")
-    return sum(times) / len(times)
+    return reliability_report(trace).mttr_ms
 
 
 def degradation_factor(
@@ -116,8 +113,18 @@ class ReliabilityReport:
     config_failures: int
     relocations: int
     work_lost_ms: float
-    mttr_ms: float
+    #: Every closed recovery interval, in trace order (studies pool
+    #: these across sequences before averaging).
+    recovery_times_ms: Tuple[float, ...]
     goodput_items_per_s: float
+
+    @property
+    def mttr_ms(self) -> float:
+        """Mean recovery interval; NaN when nothing needed recovering."""
+        times = self.recovery_times_ms
+        if not times:
+            return float("nan")
+        return sum(times) / len(times)
 
     @property
     def permanent_faults(self) -> int:
@@ -144,6 +151,6 @@ def reliability_report(trace: Trace) -> ReliabilityReport:
         config_failures=trace.count(TraceKind.CONFIG_FAILED),
         relocations=trace.count(TraceKind.TASK_RELOCATED),
         work_lost_ms=work_lost_ms(trace),
-        mttr_ms=mean_time_to_recovery_ms(trace),
+        recovery_times_ms=tuple(recovery_times_ms(trace)),
         goodput_items_per_s=goodput_items_per_s(trace),
     )

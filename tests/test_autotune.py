@@ -34,7 +34,7 @@ from repro.autotune import (
 from repro.errors import AutotuneError, ServiceError
 from repro.experiments import ext_overload
 from repro.experiments.parallel import ServiceCell, run_cells
-from repro.facade import tune, tune_report
+from repro.facade import tune
 from repro.metrics.slo import SloTarget
 
 SLO = SloTarget(p99_ms=1_000.0, max_loss_frac=0.05)
@@ -388,11 +388,12 @@ class TestDeterminism:
         }
         assert stripped == plain
 
-    def test_tune_report_json_matches_payload(self):
-        text = tune_report(
-            rate=2.0, submissions=120, seed=1, as_json=True, jobs=1,
-        )
-        payload = json.loads(text)
+    def test_tune_cli_json_matches_payload(self, capsys):
+        from repro.cli import main
+
+        assert main(["tune", "--fast", "--json", "--submissions", "120",
+                     "--jobs", "1"]) == 0
+        payload = json.loads(capsys.readouterr().out)
         assert payload == tune(rate=2.0, submissions=120, seed=1, jobs=1)
 
     def test_autotune_refuses_snapshotting_loops(self):

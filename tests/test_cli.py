@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 
@@ -241,3 +242,45 @@ class TestDrills:
         assert main(["overload"]) == 0
         header = capsys.readouterr().out.splitlines()[0]
         assert header.endswith(" events=16")
+
+
+class TestResultDrills:
+    """``cluster``, ``tune`` and ``serve`` print the text of the one
+    result their library call returns."""
+
+    def test_cluster_prints_the_fleet_report(self, capsys):
+        from repro.facade import fleet
+
+        report = fleet(2, num_events=6, rate_multiplier=8.0, jobs=1)
+        argv = ["cluster", "--boards", "2", "--events", "6"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == report.format() + "\n"
+        assert main(argv + ["--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == report.to_dict()
+
+    def test_tune_prints_the_formatted_payload(self, capsys):
+        from repro.facade import format_tune, tune
+
+        assert main(["tune", "--fast", "--submissions", "120"]) == 0
+        payload = tune(rate=2.0, submissions=120, seed=1, jobs=1)
+        assert capsys.readouterr().out == format_tune(payload) + "\n"
+
+    @pytest.mark.parametrize("argv, code, err", [
+        (["serve", "--fast", "--schedulers", ","], 1,
+         "serve: --schedulers must name at least one scheduler"),
+        (["serve", "--fast", "--schedulers", ""], 1,
+         "serve: --schedulers must name at least one scheduler"),
+        (["serve", "--fast", "--schedulers", "nimblock,",
+          "--submissions", "50"], 0, "serve: 1 run(s) x 50 submissions"),
+        (["cluster", "--events", "4", "--mix", ","], 1,
+         "cluster: fleet mix must be non-empty"),
+        (["cluster", "--boards", "0"], 1,
+         "cluster: num_boards must be >= 1, got 0"),
+    ], ids=["serve-no-schedulers", "serve-empty-schedulers",
+            "serve-trailing-comma", "cluster-empty-mix",
+            "cluster-no-boards"])
+    def test_malformed_drill_input(self, capsys, argv, code, err):
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.err.startswith(err)
+        assert (captured.out == "") == (code == 1)

@@ -83,6 +83,16 @@ class TestInvalidActions:
         with pytest.raises(SchedulerError, match="cannot preempt slot"):
             hv.run()
 
+    @pytest.mark.parametrize("action", [
+        ("configure", 0, "c_t0", 0),
+        type("RelabelledConfigure", (ConfigureAction,), {})(0, "c_t0", 0),
+    ], ids=["foreign-object", "action-subclass"])
+    def test_unknown_action_rejected(self, action):
+        # Passes dispatch on the exact action type.
+        hv = _single_app_hypervisor([action])
+        with pytest.raises(SchedulerError, match="unknown action"):
+            hv.run()
+
     def test_policy_livelock_detected(self):
         class Livelock(SchedulerPolicy):
             name = "livelock"
